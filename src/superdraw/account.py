@@ -4,9 +4,12 @@ Every threshold and payment indexes with the compound deflator Q (base year
 Q = 1), so the whole block is homogeneous of degree one in (W, Q): real
 outcomes depend only on real wealth W/Q.
 
-The pension and transition formulas are written against the dispatching
-helpers in `autodiff`, so the identical code serves plain numpy evaluation
-and differentiable training; keep raw `np.maximum` etc. out of this module.
+Each block (the pension, the fee, the wealth transition) computes its value
+once, from one NumPy expression, for plain numpy evaluation and training
+alike. Given a Tensor input it wraps that same value in one tape node whose
+local derivative comes from the branch masks of the expression; given plain
+arrays it returns the array and does no slope work. Keep each formula in one
+place: no second, Tensor-only version of a block.
 """
 
 from __future__ import annotations
@@ -116,21 +119,35 @@ def _check_wealth(W) -> None:
 def age_pension(W, Q, params: PensionParams = PensionParams()):
     """Annual pension payment: the lesser of the asset- and income-test amounts.
 
-    Accepts scalars, arrays, or Tensors for W (and Q).
+    Accepts scalars, arrays, or Tensors for W; Q is data (scalar or array).
+    The payment is piecewise linear in W, so on the tape its slope is the
+    sum of the branch slopes that are strictly active at W.
     """
     _check_wealth(W)
     p = params
+    w = ad.value_of(W)
     full = p.a_max * Q
     # Asset test: taper on wealth above the free area.
-    excess_assets = ad.maximum(W - p.w_a * Q, 0.0)
-    a_asset = ad.maximum(full - p.tau_a * p.fortnights_per_year * excess_assets,
-                         0.0)
+    over_free = w - p.w_a * Q
+    asset_taper = p.tau_a * p.fortnights_per_year
+    a_asset_raw = full - asset_taper * np.maximum(over_free, 0.0)
+    a_asset = np.maximum(a_asset_raw, 0.0)
     # Income test: deemed income from financial assets, two-tier rates.
-    deemed = p.r1 * ad.minimum(W, p.w_i * Q) \
-        + p.r2 * ad.maximum(W - p.w_i * Q, 0.0)
-    a_income = ad.maximum(
-        full - p.tau_i * ad.maximum(deemed - p.income_free * Q, 0.0), 0.0)
-    return ad.minimum(a_asset, a_income)
+    deeming_cut = p.w_i * Q
+    over_wi = w - deeming_cut
+    deemed = p.r1 * np.minimum(w, deeming_cut) \
+        + p.r2 * np.maximum(over_wi, 0.0)
+    over_income = deemed - p.income_free * Q
+    a_income_raw = full - p.tau_i * np.maximum(over_income, 0.0)
+    a_income = np.maximum(a_income_raw, 0.0)
+    value = np.minimum(a_asset, a_income)
+    if not isinstance(W, Tensor):
+        return value
+    d_asset = -asset_taper * ((over_free > 0) & (a_asset_raw > 0))
+    d_deemed = p.r1 * (w < deeming_cut) + p.r2 * (over_wi > 0)
+    d_income = -p.tau_i * d_deemed * ((over_income > 0) & (a_income_raw > 0))
+    slope = d_asset * (a_asset < a_income) + d_income * (a_income < a_asset)
+    return ad.local(value, (W, slope))
 
 
 def asset_test_cutoff(params: PensionParams = PensionParams()) -> float:
@@ -141,16 +158,28 @@ def asset_test_cutoff(params: PensionParams = PensionParams()) -> float:
 
 def fees(W, Q, params: AccountParams = AccountParams()):
     """Annual fund fee: indexed admin charge plus an asset-based rate."""
-    return params.admin_fee * Q + params.fee_rate * W
+    value = params.admin_fee * Q + params.fee_rate * ad.value_of(W)
+    if not isinstance(W, Tensor):
+        return value
+    return ad.local(value, (W, params.fee_rate))
 
 
 def transition_balance(W, A, C, fee, R):
     """Next-year wealth: max(W + A - C - fee, 0) * e^R.
 
     Shared by every rollout (learned policy, deterministic strategies, and
-    oracles); accepts scalars, arrays, or Tensors.
+    oracles); accepts scalars, arrays, or Tensors for W, A, C and fee. R is
+    data. Above the depletion floor the slope is +-e^R; on or below it, 0.
     """
-    return ad.maximum(W + A - C - fee, 0.0) * ad.exp(R)
+    inputs = (W, A, C, fee)
+    w, a, c, f = (ad.value_of(x) for x in inputs)
+    growth = np.exp(R)
+    before = w + a - c - f
+    value = np.maximum(before, 0.0) * growth
+    if not any(isinstance(x, Tensor) for x in inputs):
+        return value
+    slope = (before > 0) * growth
+    return ad.local(value, (W, slope), (A, slope), (C, -slope), (fee, -slope))
 
 
 def wealth_step(state: AccountState, C: float, A: float, R: float,

@@ -6,17 +6,21 @@ topological order and accumulates gradients into every leaf. Nodes hold whole
 arrays (a batch of simulation paths, a layer of activations), so the tape
 stays short even when the computation spans a 40-year wealth recursion.
 
-Kink handling is deliberate and uniform: ReLU, max, min and clamp all pass
-the gradient to the strict winner only, and pass nothing on exact ties. The
-training objective is piecewise smooth (pension tests, depletion floor) and
-ties sit on measure-zero sets, so this is the standard subgradient choice.
+The tape is coarse on purpose. Each model block (the policy network, the Age
+Pension, the fee and the wealth transition, the CRRA kernel) computes its
+value once, from one NumPy expression, and returns that array when no input
+is a Tensor; when one is, it wraps the same value in a single node whose
+hand-written backward applies the block's local derivative, built from the
+branch masks of the value it just computed. Plain-numpy evaluation and
+differentiable training therefore share every formula, while the tape costs a
+handful of nodes per simulated year. The generic operators below only join
+blocks together: sums, products and the reductions of the objective.
 
-The module-level `maximum`, `minimum`, `exp`, `log`, `sigmoid`, `relu` and
-`stack_rows` helpers dispatch on their arguments: given plain ndarrays they
-call numpy directly, given a Tensor they build tape nodes. Formula code
-written against these helpers (the pension rules, the wealth transition)
-therefore runs identically in plain-numpy evaluation and in differentiable
-training, which is what keeps the two code paths from drifting apart.
+Kink handling is deliberate and uniform: every max, min, clamp and ReLU in a
+block passes the gradient to the strict winner only, and passes nothing on
+exact ties. The training objective is piecewise smooth (pension tests,
+depletion floor) and ties sit on measure-zero sets, so this is the standard
+subgradient choice.
 """
 
 from __future__ import annotations
@@ -25,13 +29,8 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "as_tensor",
-    "maximum",
-    "minimum",
-    "exp",
-    "log",
-    "sigmoid",
-    "relu",
+    "value_of",
+    "local",
     "stack_rows",
 ]
 
@@ -104,199 +103,80 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, leaf={self._backward is None})"
 
     # ------------------------------------------------------------- arithmetic
+    # A plain operand is a constant: it gets no node of its own.
 
     def __add__(self, other):
-        o = as_tensor(other)
-        out = Tensor(self.value + o.value, (self, o))
+        if not isinstance(other, Tensor):
+            return Tensor(self.value + other, (self,), self._accum)
 
         def back(g):
             self._accum(g)
-            o._accum(g)
+            other._accum(g)
 
-        out._backward = back
-        return out
+        return Tensor(self.value + other.value, (self, other), back)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = Tensor(-self.value, (self,))
-        out._backward = lambda g: self._accum(-g)
-        return out
-
-    def __sub__(self, other):
-        return self + (-as_tensor(other))
-
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
-        o = as_tensor(other)
-        out = Tensor(self.value * o.value, (self, o))
+        if not isinstance(other, Tensor):
+            return Tensor(self.value * other, (self,),
+                          lambda g: self._accum(g * other))
 
         def back(g):
-            self._accum(g * o.value)
-            o._accum(g * self.value)
+            self._accum(g * other.value)
+            other._accum(g * self.value)
 
-        out._backward = back
-        return out
+        return Tensor(self.value * other.value, (self, other), back)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = as_tensor(other)
-        out = Tensor(self.value / o.value, (self, o))
-
-        def back(g):
-            self._accum(g / o.value)
-            o._accum(-g * self.value / (o.value * o.value))
-
-        out._backward = back
-        return out
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only constant real exponents are supported")
-        p = float(p)
-        out = Tensor(self.value ** p, (self,))
-        out._backward = lambda g: self._accum(g * p * self.value ** (p - 1.0))
-        return out
-
-    def __matmul__(self, other):
-        o = as_tensor(other)
-        out = Tensor(self.value @ o.value, (self, o))
-
-        def back(g):
-            self._accum(g @ o.value.T)
-            o._accum(self.value.T @ g)
-
-        out._backward = back
-        return out
 
     # ------------------------------------------------------------ reductions
 
     def sum(self):
-        out = Tensor(self.value.sum(), (self,))
-        out._backward = lambda g: self._accum(np.broadcast_to(g, self.value.shape))
-        return out
+        return Tensor(self.value.sum(), (self,), lambda g: self._accum(
+            np.broadcast_to(g, self.value.shape)))
 
     def mean(self):
         n = self.value.size
-        out = Tensor(self.value.mean(), (self,))
-        out._backward = lambda g: self._accum(
-            np.broadcast_to(g / n, self.value.shape)
-        )
-        return out
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], tuple):
-            shape = shape[0]
-        src = self.value.shape
-        out = Tensor(self.value.reshape(shape), (self,))
-        out._backward = lambda g: self._accum(g.reshape(src))
-        return out
+        return Tensor(self.value.mean(), (self,), lambda g: self._accum(
+            np.broadcast_to(g / n, self.value.shape)))
 
 
-def as_tensor(x) -> Tensor:
-    """Wrap a value as a (leaf) Tensor; pass Tensors through unchanged."""
-    return x if isinstance(x, Tensor) else Tensor(x)
+def value_of(x):
+    """The array behind `x`: a Tensor's value, anything else unchanged."""
+    return x.value if isinstance(x, Tensor) else x
 
 
-def _is_t(*xs) -> bool:
-    return any(isinstance(x, Tensor) for x in xs)
+def local(value, *inputs):
+    """`value` as one tape node with an elementwise local derivative.
 
-
-# ------------------------------------------------------ dispatching helpers
-
-
-def maximum(a, b):
-    """Elementwise max; gradient flows to the strict winner only."""
-    if not _is_t(a, b):
-        return np.maximum(a, b)
-    ta, tb = as_tensor(a), as_tensor(b)
-    out = Tensor(np.maximum(ta.value, tb.value), (ta, tb))
+    `inputs` are (x, slope) pairs, slope being d value / d x evaluated at
+    the recorded point; pairs whose x is not a Tensor are constants and are
+    dropped. Blocks call this only when some input is a Tensor.
+    """
+    pairs = [(x, s) for x, s in inputs if isinstance(x, Tensor)]
 
     def back(g):
-        ta._accum(g * (ta.value > tb.value))
-        tb._accum(g * (tb.value > ta.value))
+        for x, slope in pairs:
+            x._accum(g * slope)
 
-    out._backward = back
-    return out
-
-
-def minimum(a, b):
-    """Elementwise min; gradient flows to the strict winner only."""
-    if not _is_t(a, b):
-        return np.minimum(a, b)
-    ta, tb = as_tensor(a), as_tensor(b)
-    out = Tensor(np.minimum(ta.value, tb.value), (ta, tb))
-
-    def back(g):
-        ta._accum(g * (ta.value < tb.value))
-        tb._accum(g * (tb.value < ta.value))
-
-    out._backward = back
-    return out
-
-
-def exp(x):
-    if not _is_t(x):
-        return np.exp(x)
-    out = Tensor(np.exp(x.value), (x,))
-    out._backward = lambda g: x._accum(g * out.value)
-    return out
-
-
-def log(x):
-    if not _is_t(x):
-        return np.log(x)
-    out = Tensor(np.log(x.value), (x,))
-    out._backward = lambda g: x._accum(g / x.value)
-    return out
-
-
-def _sigmoid_values(v: np.ndarray) -> np.ndarray:
-    # Two-sided form avoids overflow in exp for large |v|.
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
-
-
-def sigmoid(x):
-    if not _is_t(x):
-        return _sigmoid_values(np.asarray(x, dtype=np.float64))
-    s = _sigmoid_values(x.value)
-    out = Tensor(s, (x,))
-    out._backward = lambda g: x._accum(g * s * (1.0 - s))
-    return out
-
-
-def relu(x):
-    return maximum(x, 0.0)
+    return Tensor(value, [x for x, _ in pairs], back)
 
 
 def stack_rows(rows):
     """Stack 1-d rows into a 2-d array; rows may mix Tensors and ndarrays."""
-    if not _is_t(*rows):
-        return np.stack([np.asarray(r, dtype=np.float64) for r in rows])
-    ts = [as_tensor(r) for r in rows]
-    out = Tensor(np.stack([t.value for t in ts]), tuple(ts))
+    value = np.stack([np.asarray(value_of(r), dtype=np.float64)
+                      for r in rows])
+    taped = [(i, r) for i, r in enumerate(rows) if isinstance(r, Tensor)]
+    if not taped:
+        return value
 
     def back(g):
-        for i, t in enumerate(ts):
-            t._accum(g[i])
+        for i, r in taped:
+            r._accum(g[i])
 
-    out._backward = back
-    return out
+    return Tensor(value, [r for _, r in taped], back)

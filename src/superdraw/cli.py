@@ -58,8 +58,15 @@ _EVALUATE_KEYS = {"m_test": int, "test_seed": int}
 _SIMULATE_KEYS = {"m": int, "t": int}
 
 
-def _read_ini(path) -> configparser.ConfigParser:
+def _new_ini() -> configparser.ConfigParser:
+    """A parser that keeps key case, so `mu_S` reads back as `mu_S`."""
     cp = configparser.ConfigParser()
+    cp.optionxform = str
+    return cp
+
+
+def _read_ini(path) -> configparser.ConfigParser:
+    cp = _new_ini()
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -123,7 +130,7 @@ def build_train_config(cp, seed_override: int | None = None) -> TrainConfig:
 
 def _echo_config(cfg: TrainConfig, out_dir: Path, extra: dict | None = None):
     """Resolved settings, written next to the outputs."""
-    cp = configparser.ConfigParser()
+    cp = _new_ini()
     cp["train"] = {
         "m_train": str(cfg.m_train), "iterations": str(cfg.iterations),
         "batch_size": str(cfg.batch_size), "seed": str(cfg.seed),
@@ -188,10 +195,8 @@ def cmd_simulate(args) -> int:
     m = args.m if args.m is not None else sim.get("m", 1_000)
     T = args.t if args.t is not None else sim.get("t", cfg.horizon)
     if args.params:
-        params = esg_mod.load_params(args.params)
-    else:
-        params = cfg.esg
-    panel = esg_mod.simulate(params, cfg.initial_econ_state(), m, T,
+        cfg = dataclasses.replace(cfg, esg=esg_mod.load_params(args.params))
+    panel = esg_mod.simulate(cfg.esg, cfg.initial_econ_state(), m, T,
                              seed=cfg.seed, omega=cfg.account.omega)
     esg_mod.panel_to_csv(panel, out / "panel.csv")
     _echo_config(cfg, out, {"command": "simulate", "m": m, "t": T})

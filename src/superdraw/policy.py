@@ -9,6 +9,12 @@ Inputs are normalized to O(1) before the first layer (t by the horizon,
 W by the configured initial wealth; R and Q are already O(1)), and the
 normalization constants travel with the checkpoint so a saved policy is
 evaluated exactly as trained.
+
+The network body is one block, like the account formulas: `policy_fraction`
+runs the forward pass once in NumPy and returns the array for plain
+weights; given Tensor weights or inputs it wraps that same array in one
+tape node whose backward is ordinary ReLU-MLP backpropagation through the
+activations it kept. There is no second, operator-by-operator version.
 """
 
 from __future__ import annotations
@@ -123,18 +129,58 @@ def lift(params: MlpParams) -> dict:
     return {n: Tensor(getattr(params, n)) for n in PARAM_FIELDS}
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    # Two-sided form avoids overflow in exp for large |v|.
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
 def policy_fraction(p, x):
     """Network body: consumption as a fraction of available resources.
 
     `p` maps field names to weights (arrays or Tensors); `x` is the
-    normalized input block of shape (4, batch). Returns a (batch,) row in
-    (0, 1). ReLU on the input and both hidden layers, sigmoid on the head.
+    normalized input block of shape (4, batch), an array or a Tensor.
+    Returns a (batch,) row in (0, 1). ReLU on the input and both hidden
+    layers, sigmoid on the head. On a tape the whole body is one node whose
+    backward is ordinary ReLU-MLP backpropagation; a unit whose
+    pre-activation is exactly 0 passes no gradient.
     """
-    h = ad.relu(p["w0"] @ x + p["b0"])
-    h = ad.relu(p["w1"] @ h + p["b1"])
-    h = ad.relu(p["w2"] @ h + p["b2"])
-    z = p["w3"] @ h + p["b3"]
-    return ad.sigmoid(z).reshape(-1)
+    w = {n: ad.value_of(p[n]) for n in PARAM_FIELDS}
+    taped = {n: p[n] for n in PARAM_FIELDS if isinstance(p[n], Tensor)}
+    on_tape = bool(taped) or isinstance(x, Tensor)
+    h = ad.value_of(x)
+    layers = [h]                       # inputs of w0, w1, w2, w3
+    for k in range(3):
+        h = w[f"w{k}"] @ h             # in place: one new array per layer
+        h += w[f"b{k}"]
+        np.maximum(h, 0.0, out=h)
+        if on_tape:
+            # Kept for the backward pass, where h > 0 is also the ReLU
+            # mask: exactly where the pre-activation is > 0.
+            layers.append(h)
+    frac = _sigmoid(w["w3"] @ h + w["b3"]).reshape(-1)
+    if not on_tape:
+        return frac
+
+    def back(g):
+        d = (g * frac * (1.0 - frac)).reshape(1, -1)
+        for k in (3, 2, 1, 0):
+            if f"w{k}" in taped:
+                taped[f"w{k}"]._accum(d @ layers[k].T)
+            if f"b{k}" in taped:
+                taped[f"b{k}"]._accum(d.sum(axis=1, keepdims=True))
+            if k > 0:
+                d = w[f"w{k}"].T @ d
+                d *= layers[k] > 0
+            elif isinstance(x, Tensor):
+                x._accum(w["w0"].T @ d)
+
+    parents = list(taped.values()) + ([x] if isinstance(x, Tensor) else [])
+    return Tensor(frac, parents, back)
 
 
 def normalized_inputs(t, W, R, Q, norm: PolicyNorm):

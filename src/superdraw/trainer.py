@@ -30,7 +30,7 @@ import numpy as np
 from . import esg as esg_mod
 from .account import (AccountParams, PensionParams, age_pension, fees,
                       transition_balance)
-from .autodiff import Tensor
+from .autodiff import value_of
 from .errors import ConfigError, NumericError
 from .esg import EconState, EsgParams, ScenarioPanel
 from .mortality import SurvivalCurve, load_life_table, survival_curve
@@ -120,16 +120,26 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    rows: list = field(default_factory=list)      # (iter, objective, ms)
+    """Logged rows and snapshots of one training run.
+
+    Each row is (iter, objective, wallclock_ms, forward_ms, backward_ms,
+    adam_ms): the objective of the logged iteration, milliseconds since the
+    loop started, and the time spent since the previous row in batch
+    selection plus the taped objective, in the backward pass, and in the
+    Adam update.
+    """
+
+    rows: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)  # (iter, MlpParams)
     aborted: bool = False
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["iter", "objective", "wallclock_ms"])
-            for it, obj, ms in self.rows:
-                w.writerow([it, f"{obj:.10g}", f"{ms:.1f}"])
+            w.writerow(["iter", "objective", "wallclock_ms", "forward_ms",
+                        "backward_ms", "adam_ms"])
+            for it, obj, *ms in self.rows:
+                w.writerow([it, f"{obj:.10g}"] + [f"{x:.1f}" for x in ms])
 
 
 @dataclass
@@ -156,22 +166,22 @@ def policy_consumer(p, norm: PolicyNorm):
 
 
 def _rollout_engine(consume, panel: ScenarioPanel, curve: SurvivalCurve,
-                    cfg: TrainConfig, tensor_mode: bool, record: bool = False):
+                    cfg: TrainConfig, record: bool = False):
     """Apply the yearly loop to all paths of `panel` at once.
 
-    Returns (per-path lifetime utilities, PathRecords or None). In tensor
-    mode the utilities come back as a Tensor of shape (paths,) on a live
-    tape; record mode requires plain numpy.
+    Returns (per-path lifetime utilities, PathRecords or None). When
+    `consume` returns Tensors the utilities come back as a Tensor of shape
+    (paths,) on a live tape; record mode requires plain numpy.
     """
     T = panel.T
     if curve.horizon != T:
         raise ConfigError(f"survival horizon {curve.horizon} != panel {T}")
-    if record and tensor_mode:
-        raise ConfigError("recording is a numpy-mode feature")
     uparams = cfg.effective_utility()
     B = panel.M
-    W = Tensor(np.full(B, cfg.w0)) if tensor_mode else np.full(B, cfg.w0)
-    total = Tensor(np.zeros(B)) if tensor_mode else np.zeros(B)
+    # Both start as data; on a tape they join it through the first
+    # consumption, which depends on the network weights.
+    W = np.full(B, cfg.w0)
+    total = np.zeros(B)
     rec = None
     if record:
         rec = PathRecords(consumption=np.empty((B, T + 1)),
@@ -192,8 +202,7 @@ def _rollout_engine(consume, panel: ScenarioPanel, curve: SurvivalCurve,
         if t < T:
             fee = fees(W, Qt, cfg.account)
             W = transition_balance(W, A, C, fee, panel.R[:, t + 1])
-            w_values = W.value if tensor_mode else W
-            if not np.all(np.isfinite(w_values)):
+            if not np.all(np.isfinite(value_of(W))):
                 raise NumericError(f"non-finite wealth after year t={t}")
     return total, rec
 
@@ -201,8 +210,7 @@ def _rollout_engine(consume, panel: ScenarioPanel, curve: SurvivalCurve,
 def rollout_consume(consume, panel: ScenarioPanel, curve: SurvivalCurve,
                     cfg: TrainConfig, record: bool = False):
     """Numpy-mode rollout of an arbitrary consumption rule over a panel."""
-    return _rollout_engine(consume, panel, curve, cfg, tensor_mode=False,
-                           record=record)
+    return _rollout_engine(consume, panel, curve, cfg, record=record)
 
 
 def rollout(params: MlpParams, panel: ScenarioPanel, m: int,
@@ -216,7 +224,7 @@ def rollout(params: MlpParams, panel: ScenarioPanel, m: int,
         curve = cfg.curve()
     p = lift(params)
     total, _ = _rollout_engine(policy_consumer(p, cfg.norm()),
-                               panel.take([m]), curve, cfg, tensor_mode=True)
+                               panel.take([m]), curve, cfg)
     obj = total.sum()
     return float(obj.value), ForwardTape(output=obj, params=p)
 
@@ -226,7 +234,7 @@ def batch_objective(params: MlpParams, panel: ScenarioPanel,
     """Mean per-path objective over a (sub-)panel, on a live tape."""
     p = lift(params)
     total, _ = _rollout_engine(policy_consumer(p, cfg.norm()), panel, curve,
-                               cfg, tensor_mode=True)
+                               cfg)
     return total.mean(), p
 
 
@@ -303,29 +311,39 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
 
     tail_sum = None
     tail_count = 0
-    last_good = params
+    phase_ms = np.zeros(3)        # forward, backward, adam since last row
     t_start = time.perf_counter()
     for it in range(1, cfg.iterations + 1):
+        t0 = time.perf_counter()
         if cfg.batch_size < cfg.m_train:
             idx = batch_rng.choice(cfg.m_train, size=cfg.batch_size,
                                    replace=False)
             sub = panel.take(idx)
         else:
             sub = panel
-        obj, p = batch_objective(params, sub, curve, cfg)
-        value = float(obj.value)
-        if not np.isfinite(value):
+        # Any non-finite wealth, objective, gradient or update ends the run
+        # with the last good weights on disk. MlpParams rejects non-finite
+        # entries, which covers the gradient and the Adam update.
+        try:
+            obj, p = batch_objective(params, sub, curve, cfg)
+            value = float(obj.value)
+            if not np.isfinite(value):
+                raise NumericError("objective diverged")
+            t1 = time.perf_counter()
+            obj.backward()
+            t2 = time.perf_counter()
+            grads = MlpParams(**{n: -p[n].grad if p[n].grad is not None
+                                 else np.zeros_like(getattr(params, n))
+                                 for n in PARAM_FIELDS})
+            adam, params = adam_step(adam, params, grads)
+        except NumericError as exc:
             report.aborted = True
             if ckpt_dir:
-                save_checkpoint(ckpt_dir / "checkpoint_abort.npz", last_good,
+                save_checkpoint(ckpt_dir / "checkpoint_abort.npz", params,
                                 cfg.norm(), iteration=it - 1)
-            raise NumericError(f"objective diverged at iteration {it}")
-        obj.backward()
-        grads = MlpParams(**{n: -p[n].grad if p[n].grad is not None
-                             else np.zeros_like(getattr(params, n))
-                             for n in PARAM_FIELDS})
-        adam, params = adam_step(adam, params, grads)
-        last_good = params
+            raise NumericError(f"{exc} at iteration {it}") from None
+        phase_ms += np.array([t1 - t0, t2 - t1, time.perf_counter() - t2]) \
+            * 1e3
 
         if cfg.tail_average > 0 and it > cfg.iterations - cfg.tail_average:
             if tail_sum is None:
@@ -336,7 +354,8 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
             tail_count += 1
         if it % max(cfg.log_every, 1) == 0 or it == cfg.iterations:
             ms = (time.perf_counter() - t_start) * 1e3
-            report.rows.append((it, value, ms))
+            report.rows.append((it, value, ms, *phase_ms.tolist()))
+            phase_ms[:] = 0.0
             if progress is not None:
                 progress(it, value)
         if cfg.snapshot_every > 0 and it % cfg.snapshot_every == 0:

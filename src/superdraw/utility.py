@@ -58,8 +58,19 @@ def bequest_coefficient(params: UtilityParams) -> float:
 
 
 def _crra(x, params: UtilityParams):
-    scaled = ad.maximum(x, params.floor_epsilon) * (1.0 / params.wealth_unit)
-    return scaled ** (1.0 - params.rho) * (1.0 / (1.0 - params.rho))
+    """(max(x, floor) / unit) ** (1 - rho) / (1 - rho); one node on a tape.
+
+    The slope is (x / unit) ** -rho / unit above the floor and 0 on or
+    below it.
+    """
+    v = ad.value_of(x)
+    inv_unit = 1.0 / params.wealth_unit
+    scaled = np.maximum(v, params.floor_epsilon) * inv_unit
+    value = scaled ** (1.0 - params.rho) * (1.0 / (1.0 - params.rho))
+    if not isinstance(x, ad.Tensor):
+        return value
+    slope = (v > params.floor_epsilon) * scaled ** -params.rho * inv_unit
+    return ad.local(value, (x, slope))
 
 
 def consumption_utility(c, params: UtilityParams = UtilityParams()):

@@ -217,3 +217,66 @@ def test_transition_balance_same_code_both_modes():
     plain = transition_balance(*args)
     taped = transition_balance(Tensor(args[0]), *args[1:])
     assert float(taped.value) == plain
+
+
+def _slope_and_fd(f, w, h=1.0):
+    """Tape slope of elementwise f at w, and its central difference."""
+    t = Tensor(np.array(w, dtype=float))
+    f(t).sum().backward()
+    fd = (f(np.array(w) + h) - f(np.array(w) - h)) / (2.0 * h)
+    return t.grad, fd
+
+
+@pytest.mark.parametrize("q", [1.0, 1.3])
+def test_pension_slope_matches_fd_in_every_regime(q):
+    # Full (below and above w_i), income-tapered, asset-tapered, nil.
+    w = q * np.array([20_000.0, 100_000.0, 255_000.0, 500_000.0, 700_000.0])
+    got, fd = _slope_and_fd(lambda x: age_pension(x, q, P), w)
+    assert np.allclose(got, [0.0, 0.0, -0.5 * 0.0225, -0.078, 0.0],
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(got, fd, rtol=1e-6, atol=1e-9)
+
+
+def test_pension_slope_on_both_sides_of_deeming_threshold():
+    # Without an income free area deeming bites from the first dollar: the
+    # slope is -tau_i * r1 below w_i, -tau_i * r2 above, and 0 at the tie.
+    p = PensionParams(income_free=0.0)
+    q = 1.3
+    w = q * p.w_i + np.array([-1_000.0, 1_000.0])
+    got, fd = _slope_and_fd(lambda x: age_pension(x, q, p), w)
+    assert np.allclose(got, [-0.5 * 0.0025, -0.5 * 0.0225], rtol=1e-12)
+    assert np.allclose(got, fd, rtol=1e-6)
+    tie = Tensor(np.array([q * p.w_i]))
+    age_pension(tie, q, p).sum().backward()
+    assert tie.grad[0] == 0.0
+
+
+def test_fee_and_transition_slopes_match_fd():
+    # W feeds the transition directly and through the fee; A, C and the
+    # fee enter with slope +-e^R above the floor and 0 on it.
+    R = np.array([0.1, -0.2, 0.05])
+    Q = 1.2
+    W0 = np.array([90_000.0, 10_000.0, 500.0])
+    A0 = np.array([10_000.0, 0.0, 0.0])
+    C0 = np.array([30_000.0, 2_000.0, 0.0])
+    C0[2] = W0[2] - fees(W0[2], Q, ACC)   # exactly on the floor
+
+    def step(W, A, C):
+        return transition_balance(W, A, C, fees(W, Q, ACC), R)
+
+    W, A, C = Tensor(W0), Tensor(A0), Tensor(C0)
+    out = step(W, A, C)
+    assert out.value[2] == 0.0
+    out.sum().backward()
+    grow = np.exp(R) * [1.0, 1.0, 0.0]
+    assert np.allclose(W.grad, (1.0 - ACC.fee_rate) * grow, rtol=1e-12)
+    assert np.allclose(A.grad, grow, rtol=1e-12)
+    assert np.allclose(C.grad, -grow, rtol=1e-12)
+    h = 1.0
+    for i, x0 in enumerate((W0, A0, C0)):
+        args_up = [W0, A0, C0]
+        args_dn = [W0, A0, C0]
+        args_up[i], args_dn[i] = x0 + h, x0 - h
+        fd = (step(*args_up) - step(*args_dn)) / (2.0 * h)
+        got = (W, A, C)[i].grad
+        assert np.allclose(got[:2], fd[:2], rtol=1e-6)

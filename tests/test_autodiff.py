@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superdraw import autodiff as ad
+from superdraw.account import (PensionParams, age_pension, fees,
+                               transition_balance)
 from superdraw.autodiff import Tensor
+from superdraw.policy import PARAM_FIELDS, he_init, policy_fraction
+from superdraw.utility import UtilityParams, consumption_utility
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -40,33 +44,37 @@ def test_fanout_accumulates():
 
 def test_chain_with_constants():
     x = Tensor(np.array([1.0, 2.0, 3.0]))
-    y = ((2.0 * x - 1.0) / 4.0).sum()
+    y = ((2.0 * x + -1.0) * np.array([0.25])).sum()
     y.backward()
     assert np.allclose(x.grad, 0.5)
 
 
 def test_pow_negative_exponent():
+    # The CRRA node carries the power: at rho = 5, -4 u(x) = x ** -4.
     x = Tensor(np.array([0.5, 2.0]))
-    y = (x ** -4.0).sum()
+    y = (-4.0 * consumption_utility(x, UtilityParams(rho=5.0))).sum()
     y.backward()
     assert np.allclose(x.grad, -4.0 * x.value ** -5.0)
 
 
 def test_matmul_matches_fd():
+    # Both sides of the network's first product: weights and input block.
     rng = np.random.default_rng(0)
-    a0 = rng.normal(size=(3, 4))
-    b0 = rng.normal(size=(4, 5))
+    params = he_init(5, 4, 3, seed=0)
+    plain = {n: getattr(params, n) for n in PARAM_FIELDS}
+    x0 = rng.normal(size=(4, 6))
 
-    def f_a(a):
-        return float((a @ b0).sum() ** 2) / 2
+    def f_w0(w0):
+        return float(policy_fraction({**plain, "w0": w0}, x0).sum())
 
-    a = Tensor(a0)
-    b = Tensor(b0)
-    out = a @ b
-    s = out.sum()
-    loss = s * s * 0.5
-    loss.backward()
-    assert np.allclose(a.grad, numeric_grad(f_a, a0), atol=1e-6)
+    def f_x(x):
+        return float(policy_fraction(plain, x).sum())
+
+    w0 = Tensor(plain["w0"])
+    x = Tensor(x0)
+    policy_fraction({**plain, "w0": w0}, x).sum().backward()
+    assert np.allclose(w0.grad, numeric_grad(f_w0, plain["w0"]), atol=1e-6)
+    assert np.allclose(x.grad, numeric_grad(f_x, x0), atol=1e-6)
 
 
 def test_unbroadcast_bias_shape():
@@ -80,50 +88,77 @@ def test_unbroadcast_bias_shape():
 
 
 def test_maximum_strict_winner_and_tie():
-    a = Tensor(np.array([1.0, 5.0, 2.0]))
-    b = Tensor(np.array([1.0, 3.0, 7.0]))
-    ad.maximum(a, b).sum().backward()
-    assert np.allclose(a.grad, [0.0, 1.0, 0.0])  # tie at index 0 gets nothing
-    assert np.allclose(b.grad, [0.0, 0.0, 1.0])
+    # The CRRA floor max(x, eps): only x strictly above eps passes slope.
+    params = UtilityParams(rho=2.0, floor_epsilon=1.0)
+    x = Tensor(np.array([1.0, 4.0, 0.5]))
+    consumption_utility(x, params).sum().backward()
+    assert np.allclose(x.grad, [0.0, 1.0 / 16.0, 0.0])  # tie gets nothing
 
 
 def test_minimum_strict_winner_and_tie():
-    a = Tensor(np.array([1.0, 5.0, 2.0]))
-    b = Tensor(np.array([1.0, 3.0, 7.0]))
-    ad.minimum(a, b).sum().backward()
-    assert np.allclose(a.grad, [0.0, 0.0, 1.0])
-    assert np.allclose(b.grad, [0.0, 1.0, 0.0])
+    # The pension's min(asset test, income test). With these rates both
+    # tests pay 1000 - 0.5 W at tau_a = 0.5; a smaller or larger asset taper
+    # makes the income or the asset test the strict winner.
+    def slope(tau_a):
+        p = PensionParams(a_max=1_000.0, w_a=0.0, tau_a=tau_a,
+                          fortnights_per_year=1, income_free=0.0, w_i=0.0,
+                          r1=0.0, r2=1.0, tau_i=0.5)
+        w = Tensor(np.array([100.0]))
+        age_pension(w, 1.0, p).sum().backward()
+        return w.grad[0]
+
+    assert slope(0.25) == -0.5
+    assert slope(1.0) == -1.0
+    assert slope(0.5) == 0.0
 
 
 def test_relu_zero_subgradient_at_kink():
-    x = Tensor(np.array([-1.0, 0.0, 2.0]))
-    ad.relu(x).sum().backward()
-    assert np.allclose(x.grad, [0.0, 0.0, 1.0])
+    # First-layer pre-activations -1, 0, 2 in a 3-1-1-1 network.
+    p = {"w0": np.zeros((3, 4)),
+         "b0": Tensor(np.array([[-1.0], [0.0], [2.0]])),
+         "w1": np.ones((1, 3)), "b1": np.ones((1, 1)), "w2": np.ones((1, 1)),
+         "b2": np.zeros((1, 1)), "w3": np.ones((1, 1)), "b3": np.zeros((1, 1))}
+    frac = policy_fraction(p, np.zeros((4, 1)))
+    frac.sum().backward()
+    s = frac.value[0]
+    assert np.allclose(p["b0"].grad.ravel(), [0.0, 0.0, s * (1.0 - s)])
 
 
 def test_dispatch_on_plain_arrays_returns_arrays():
     x = np.array([-1.0, 2.0])
-    assert isinstance(ad.maximum(x, 0.0), np.ndarray)
-    assert isinstance(ad.exp(x), np.ndarray)
-    assert isinstance(ad.sigmoid(x), np.ndarray)
-    assert np.allclose(ad.relu(x), [0.0, 2.0])
+    w = np.array([0.0, 600_000.0])
+    net = he_init(3, 3, 3)
+    plain = {n: getattr(net, n) for n in PARAM_FIELDS}
+    for out in (age_pension(w, 1.0), fees(w, 1.0),
+                consumption_utility(w + 1.0), ad.stack_rows([x, x]),
+                policy_fraction(plain, np.ones((4, 2)))):
+        assert isinstance(out, np.ndarray)
+    # The transition with nothing added or taken is the ReLU of wealth.
+    assert np.allclose(transition_balance(x, 0.0, 0.0, 0.0, 0.0), [0.0, 2.0])
 
 
 def test_sigmoid_extreme_arguments_finite():
-    v = np.array([-800.0, 0.0, 800.0])
-    s = ad.sigmoid(v)
+    p = {n: np.zeros(s) for n, s in (("w0", (1, 4)), ("b0", (1, 1)),
+                                     ("w1", (1, 1)), ("b1", (1, 1)),
+                                     ("w2", (1, 1)), ("b2", (1, 1)),
+                                     ("w3", (1, 1)))}
+    s = [policy_fraction({**p, "b3": np.array([[v]])}, np.zeros((4, 1)))[0]
+         for v in (-800.0, 0.0, 800.0)]
     assert np.all(np.isfinite(s))
     assert s[0] == pytest.approx(0.0)
     assert s[1] == pytest.approx(0.5)
     assert s[2] == pytest.approx(1.0)
+    b3 = Tensor(np.array([[800.0]]))
+    policy_fraction({**p, "b3": b3}, np.zeros((4, 1))).sum().backward()
+    assert b3.grad[0, 0] == 0.0
 
 
-def test_stack_rows_mixed_and_reshape():
+def test_stack_rows_mixed_tensor_and_array():
     a = Tensor(np.array([1.0, 2.0]))
     rows = ad.stack_rows([a, np.array([3.0, 4.0])])
     assert rows.shape == (2, 2)
-    flat = rows.reshape(-1)
-    (flat * np.array([1.0, 10.0, 100.0, 1000.0])).sum().backward()
+    assert rows._parents == (a,)   # the plain row is a constant
+    (rows * np.array([[1.0, 10.0], [100.0, 1000.0]])).sum().backward()
     assert np.allclose(a.grad, [1.0, 10.0])
 
 
@@ -146,32 +181,29 @@ def test_fresh_tape_per_evaluation():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_composite_expression_matches_fd(seed):
+    # One simulated year: pension, fee and transition, then CRRA of the
+    # balance, differentiated through every block with respect to W.
     rng = np.random.default_rng(seed)
-    x0 = rng.normal(size=5)
+    w0 = rng.uniform(0.0, 800_000.0, size=5)
+    Q = rng.uniform(0.8, 1.5, size=5)
+    R = rng.normal(0.03, 0.1, size=5)
+    params = UtilityParams(rho=5.0, wealth_unit=500_000.0)
 
-    def f(v):
-        t = np.exp(0.3 * v) + np.maximum(v, 0.2) * np.minimum(v, 1.5)
-        t = 1.0 / (1.0 + np.exp(-t.sum()))
-        return float(t)
+    def f(w):
+        A = age_pension(w, Q)
+        nxt = transition_balance(w, A, 0.06 * (w + A), fees(w, Q), R)
+        return consumption_utility(nxt + 1.0, params).sum()
 
-    # Skip draws that sit within FD reach of a kink.
-    if np.any(np.abs(x0 - 0.2) < 1e-4) or np.any(np.abs(x0 - 1.5) < 1e-4):
-        return
-    x = Tensor(x0)
-    t = ad.exp(0.3 * x) + ad.maximum(x, 0.2) * ad.minimum(x, 1.5)
-    out = ad.sigmoid(t.sum())
-    out.backward()
-    assert np.allclose(x.grad, numeric_grad(f, x0), rtol=1e-5, atol=1e-8)
+    w = Tensor(w0)
+    f(w).backward()
+    fd1, fd2 = numeric_grad(f, w0, h=1.0), numeric_grad(f, w0, h=0.5)
+    smooth = np.abs(fd1 - fd2) <= 1e-6 * np.abs(fd2)   # no kink in reach
+    assert np.allclose(w.grad[smooth], fd2[smooth], rtol=1e-5, atol=1e-20)
 
 
 def test_mean_and_division_by_tensor():
+    # At rho = 2 the CRRA node is a division: -8 u(x) = 8 / x.
     x = Tensor(np.array([1.0, 3.0]))
-    y = (8.0 / x).mean()
+    y = (-8.0 * consumption_utility(x, UtilityParams(rho=2.0))).mean()
     y.backward()
     assert np.allclose(x.grad, -8.0 / x.value ** 2 / 2)
-
-
-def test_log_gradient():
-    x = Tensor(np.array([0.5, 2.0]))
-    ad.log(x).sum().backward()
-    assert np.allclose(x.grad, 1.0 / x.value)

@@ -95,6 +95,22 @@ def test_simulate_mean_inflation(tmp_path):
     assert np.mean(qs) == pytest.approx(0.024, abs=0.003)
 
 
+def test_simulate_config_used_reads_back(tmp_path):
+    # config_used.ini records the calibrated coefficients, key case intact,
+    # and reproduces the panel when passed back as --config.
+    cal, first, second = tmp_path / "cal", tmp_path / "a", tmp_path / "b"
+    assert run(["calibrate", "--out", cal]) == 0
+    assert run(["simulate", "--params", cal / "params.ini", "--m", 30,
+                "--t", 6, "--seed", 4, "--out", first]) == 0
+    echoed = (first / "config_used.ini").read_text()
+    fitted = load_params(cal / "params.ini")
+    assert f"mu_S = {fitted.mu_S!r}" in echoed
+    assert run(["simulate", "--config", first / "config_used.ini", "--m", 30,
+                "--t", 6, "--out", second]) == 0
+    assert (second / "panel.csv").read_bytes() == \
+        (first / "panel.csv").read_bytes()
+
+
 # -------------------------------------------------------------------- train
 
 
@@ -112,7 +128,8 @@ seed = 2
     assert (out / "checkpoints" / "checkpoint_000000.npz").exists()
     assert (out / "checkpoints" / "checkpoint_final.npz").exists()
     report = (out / "report.csv").read_text().strip().splitlines()
-    assert report == ["iter,objective,wallclock_ms"]
+    assert report == ["iter,objective,wallclock_ms,forward_ms,backward_ms,"
+                      "adam_ms"]
 
 
 def test_train_smoke_reproducible(tmp_path, capsys):

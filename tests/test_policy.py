@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from superdraw import policy
+from superdraw.autodiff import Tensor
 from superdraw.errors import ConfigError, DataError
 from superdraw.policy import (PARAM_FIELDS, MlpParams, PolicyInput,
                               PolicyNorm, backward, forward, he_init,
@@ -172,3 +173,41 @@ def test_checkpoint_rejects_bad_file(tmp_path):
 def test_norm_validation():
     with pytest.raises(ConfigError):
         PolicyNorm(horizon=0.0)
+
+
+def test_network_node_matches_fd_with_dead_units():
+    # A batch through a 6-5-4 body with two first-layer units and one
+    # second-layer unit dead for every input: their weights get exactly
+    # zero gradient, and every other entry matches central differences.
+    rng = np.random.default_rng(4)
+    p = small_params(6)
+    p.b0[[1, 4]] = -50.0
+    p.b1[2] = -50.0
+    x0 = np.vstack([rng.uniform(0, 1, 7), rng.uniform(0, 2, 7),
+                    rng.normal(0, 0.15, 7), rng.uniform(0.8, 2.5, 7)])
+    seed = rng.normal(size=7)
+    taped = {n: Tensor(getattr(p, n)) for n in PARAM_FIELDS}
+    x = Tensor(x0)
+    (policy.policy_fraction(taped, x) * seed).sum().backward()
+
+    def f(q, xv=x0):
+        plain = {n: getattr(q, n) for n in PARAM_FIELDS}
+        return float(policy.policy_fraction(plain, xv) @ seed)
+
+    assert np.all(taped["w0"].grad[[1, 4]] == 0.0)
+    assert np.all(taped["w1"].grad[:, [1, 4]] == 0.0)
+    assert np.all(taped["w1"].grad[2] == 0.0)
+    assert np.all(taped["w2"].grad[:, 2] == 0.0)
+    h = 1e-6
+    for name in PARAM_FIELDS:
+        arr = getattr(p, name)
+        for i, j in np.ndindex(arr.shape):
+            fd = (f(policy.perturb(p, name, i, j, h))
+                  - f(policy.perturb(p, name, i, j, -h))) / (2.0 * h)
+            assert taped[name].grad[i, j] == pytest.approx(
+                fd, rel=1e-5, abs=1e-9), (name, i, j)
+    for i, j in np.ndindex(x0.shape):
+        step = np.zeros_like(x0)
+        step[i, j] = h
+        fd = (f(p, x0 + step) - f(p, x0 - step)) / (2.0 * h)
+        assert x.grad[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-9)

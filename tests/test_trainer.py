@@ -264,6 +264,13 @@ def test_training_moves_parameters_and_logs():
     assert not params.allclose(init)
     assert [row[0] for row in report.rows] == [1, 2, 3]
     assert all(np.isfinite(row[1]) for row in report.rows)
+    # Forward, backward and Adam milliseconds per logging interval fit
+    # inside the wallclock between rows.
+    last = 0.0
+    for _, _, ms, *phases in report.rows:
+        assert len(phases) == 3 and min(phases) >= 0.0
+        assert sum(phases) <= ms - last + 1e-6
+        last = ms
 
 
 def test_training_improves_objective():
@@ -321,12 +328,57 @@ def test_train_rejects_mismatched_panel():
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_divergent_panel_raises():
-    cfg = small_config(iterations=2)
+def test_divergent_panel_raises(tmp_path):
+    cfg = small_config(iterations=2, checkpoint_dir=str(tmp_path))
     panel = synthetic_panel(cfg.m_train, cfg.horizon)
     panel.R[:, 1] = 1e6
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="iteration 1"):
         train(cfg, panel=panel)
+    assert load_checkpoint(tmp_path / "checkpoint_abort.npz")[2][
+        "iteration"] == 0
+
+
+def test_nonfinite_gradient_takes_the_abort_path(tmp_path, monkeypatch):
+    # Iteration 2 gets a NaN gradient while its objective stays finite.
+    from superdraw import trainer
+    real = trainer.batch_objective
+    calls = []
+
+    def poisoned(params, panel, curve, cfg):
+        obj, p = real(params, panel, curve, cfg)
+        calls.append(1)
+        if len(calls) == 2:
+            p["w3"].grad = np.full_like(p["w3"].value, np.nan)
+        return obj, p
+
+    monkeypatch.setattr(trainer, "batch_objective", poisoned)
+    cfg = small_config(iterations=3, checkpoint_every=1,
+                       checkpoint_dir=str(tmp_path))
+    with pytest.raises(NumericError, match="iteration 2"):
+        train(cfg)
+    abort, _, meta = load_checkpoint(tmp_path / "checkpoint_abort.npz")
+    good, _, _ = load_checkpoint(tmp_path / "checkpoint_000001.npz")
+    assert meta["iteration"] == 1
+    assert abort.allclose(good, rtol=0.0, atol=0.0)
+
+
+def _tape_nodes(root):
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_tape_stays_coarse():
+    # Each simulated year records a few block nodes (network, pension, fee,
+    # transition, utilities) and the sums and products joining them.
+    cfg = small_config(horizon=41, m_train=8, batch_size=8)
+    panel = synthetic_panel(8, 41, seed=3)
+    obj, _ = batch_objective(he_init(seed=1), panel, cfg.curve(), cfg)
+    assert _tape_nodes(obj) <= 30 * (cfg.horizon + 1)
 
 
 def test_effective_utility_rescales_default_unit():

@@ -150,3 +150,20 @@ def test_tensor_mode_gradient():
     consumption_utility(c, P5).sum().backward()
     # d/dc [c^-4 / -4] = c^-5
     assert c.grad[0] == pytest.approx(2.0 ** -5)
+
+
+def test_crra_slope_matches_fd_above_and_below_floor():
+    # Above the floor u'(c) = (c / unit) ** -rho / unit; below it the
+    # clamp makes u flat; at the floor itself nothing passes.
+    params = UtilityParams(rho=5.0, phi=0.5, wealth_unit=500_000.0,
+                           floor_epsilon=1e-3)
+    c0 = np.array([20_000.0, 300_000.0, 1e-4, 1e-3])
+    for fn in (consumption_utility, bequest_utility):
+        c = Tensor(c0)
+        fn(c, params).sum().backward()
+        h = c0[:2] * 1e-6
+        fd = (fn(c0[:2] + h, params) - fn(c0[:2] - h, params)) / (2.0 * h)
+        assert np.allclose(c.grad[:2], fd, rtol=1e-6)
+        assert np.allclose(c.grad[:2], (c0[:2] / 500_000.0) ** -5.0
+                           / 500_000.0, rtol=1e-12)
+        assert np.all(c.grad[2:] == 0.0)
