@@ -33,7 +33,7 @@ from .evaluator import (POLICY_LABEL, compare, median_paths,
                         write_kde_csv, write_medians_csv,
                         write_outperformance_csv, write_utilities_csv)
 from .policy import load_checkpoint
-from .trainer import TrainConfig, rollout_consume, train
+from .trainer import TrainConfig, TrainingAborted, rollout_consume, train
 from .trainer import policy_consumer as _policy_consumer
 
 EXIT_CONFIG = 2
@@ -219,7 +219,11 @@ def cmd_train(args) -> int:
     def progress(it, obj):
         print(f"iter {it:6d}  objective {obj:.2f}", flush=True)
 
-    params, report = train(cfg, progress=progress)
+    try:
+        params, report = train(cfg, progress=progress)
+    except TrainingAborted as exc:
+        exc.report.to_csv(out / "report.csv")
+        raise
     report.to_csv(out / "report.csv")
     print(f"trained {cfg.iterations} iterations; "
           f"final checkpoint in {cfg.checkpoint_dir}")
@@ -273,11 +277,17 @@ def cmd_evaluate(args) -> int:
     strategies = list(StrategyKind)
     report = compare(params, strategies, panel, cfg, curve=curve, record=True)
     write_utilities_csv(report, out / "utilities.csv")
+    # The (paths, years) records are the largest arrays of the command;
+    # release them before the snapshot rollouts allocate theirs.
+    for label in list(report.records):
+        mp = median_paths(report.records.pop(label), cfg.retirement_age)
+        write_medians_csv(mp, out / f"medians_{label}.csv")
 
     ckpt_path = Path(args.checkpoint)
     if ckpt_path.is_dir():
         seq = _checkpoint_sequence(ckpt_path)
-        rows = outperformance_curve(seq, strategies, panel, cfg, curve=curve)
+        rows = outperformance_curve(seq, strategies, panel, cfg, curve=curve,
+                                    base_utilities=report.utilities)
     else:
         it = int(meta.get("iteration", 0))
         rows = [(it, k.value, report.outperformance[k.value])
@@ -287,9 +297,6 @@ def cmd_evaluate(args) -> int:
     for kind in strategies:
         dd = utility_diff_density(report.diffs[kind.value])
         write_kde_csv(dd, out / f"kde_{kind.value}.csv")
-    for label, rec in report.records.items():
-        mp = median_paths(rec, cfg.retirement_age)
-        write_medians_csv(mp, out / f"medians_{label}.csv")
     _echo_config(cfg, out, {"command": "evaluate", "m_test": m_test,
                             "test_seed": test_seed,
                             "checkpoint": args.checkpoint})
@@ -347,9 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--seed", type=int, help="override the seed")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker cap (all work is vectorized in-process; "
-                            "kept for interface stability)")
 
     p = sub.add_parser("calibrate", help="fit scenario-generator parameters")
     common(p)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvblock import BLOCK_ROWS, write_blocks
 from .errors import ConfigError, DataError, NumericError
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -167,6 +168,9 @@ class HistoricalSeries:
         return len(self.year)
 
 
+_PANEL_COLUMNS = ("q", "s", "e", "n", "b", "o", "h", "R", "Q")
+
+
 @dataclass
 class ScenarioPanel:
     """M simulated paths over t = 0..T.
@@ -190,7 +194,7 @@ class ScenarioPanel:
 
     def __post_init__(self):
         want = (self.M, self.T + 1)
-        for name in ("q", "s", "e", "n", "b", "o", "h", "R", "Q"):
+        for name in _PANEL_COLUMNS:
             if getattr(self, name).shape != want:
                 raise DataError(f"panel column {name} has shape "
                                 f"{getattr(self, name).shape}, expected {want}")
@@ -200,8 +204,7 @@ class ScenarioPanel:
     def take(self, idx) -> "ScenarioPanel":
         """Sub-panel restricted to the given path indices."""
         idx = np.asarray(idx)
-        cols = {n: getattr(self, n)[idx] for n in
-                ("q", "s", "e", "n", "b", "o", "h", "R", "Q")}
+        cols = {n: getattr(self, n)[idx] for n in _PANEL_COLUMNS}
         return ScenarioPanel(M=len(idx), T=self.T, **cols)
 
 
@@ -476,13 +479,27 @@ def load_params(path) -> EsgParams:
 
 
 def panel_to_csv(panel: ScenarioPanel, path) -> None:
+    """Write the panel as CSV text, one row per path and year.
+
+    The header is `path,t,q,s,e,n,b,o,h,R,Q`; rows run over t = 0..T within
+    each path, paths in order. `path` and `t` are integers and every column
+    value is formatted as `%.10g`; lines end in CRLF, as `csv.writer`
+    writes them.
+    """
+    years = np.arange(panel.T + 1)
+    step = max(1, BLOCK_ROWS // (panel.T + 1))
+
+    def blocks():
+        for m0 in range(0, panel.M, step):
+            cols = [getattr(panel, c)[m0:m0 + step] for c in _PANEL_COLUMNS]
+            paths = np.arange(m0, m0 + len(cols[0]))
+            yield np.stack([*np.broadcast_arrays(paths[:, None], years),
+                            *cols], axis=-1).reshape(-1, 2 + len(cols))
+
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path", "t", "q", "s", "e", "n", "b", "o", "h", "R", "Q"])
-        for m in range(panel.M):
-            for t in range(panel.T + 1):
-                w.writerow([m, t] + [f"{getattr(panel, c)[m, t]:.10g}"
-                                     for c in ("q", "s", "e", "n", "b", "o", "h", "R", "Q")])
+        fh.write("path,t," + ",".join(_PANEL_COLUMNS) + "\r\n")
+        write_blocks(fh, "%d,%d," + ",".join(["%.10g"] * len(_PANEL_COLUMNS))
+                     + "\r\n", blocks())
 
 
 def vary(params: EsgParams, **changes) -> EsgParams:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csvblock import BLOCK_ROWS, quote_field, write_blocks
 from .baselines import StrategyKind, rollout_strategy
 from .errors import ConfigError
 from .esg import ScenarioPanel
@@ -124,19 +125,24 @@ def compare(params: MlpParams, strategies, panel: ScenarioPanel,
 
 def outperformance_curve(snapshots, strategies, panel: ScenarioPanel,
                          cfg: TrainConfig,
-                         curve: SurvivalCurve | None = None):
+                         curve: SurvivalCurve | None = None,
+                         base_utilities: dict | None = None):
     """Win counts per training snapshot; rows of (iteration, label, count).
 
     `snapshots` is a sequence of (iteration, MlpParams) in ascending order,
-    e.g. TrainReport.snapshots.
+    e.g. TrainReport.snapshots. `base_utilities`, if given, maps each
+    strategy label to its per-path utilities on this panel (such as
+    `compare(...).utilities`), which saves rolling the strategies out again.
     """
     if curve is None:
         curve = cfg.curve()
     iters = [it for it, _ in snapshots]
     if iters != sorted(iters):
         raise ConfigError("snapshots must be in ascending iteration order")
-    base = {k.value: rollout_strategy(k, panel, curve, cfg)[0]
-            for k in strategies}
+    base = base_utilities
+    if base is None:
+        base = {k.value: rollout_strategy(k, panel, curve, cfg)[0]
+                for k in strategies}
     rows = []
     for it, params in snapshots:
         u_pol, _ = evaluate_policy(params, panel, curve, cfg)
@@ -225,12 +231,22 @@ def median_paths(records: PathRecords, retirement_age: int) -> MedianPaths:
 
 
 def write_utilities_csv(report: EvalReport, path) -> None:
+    """Write the per-path utilities as CSV text, one row per label and path.
+
+    The header is `path,strategy,utility`; labels follow the order of
+    `report.utilities` and paths run in order within each label. `path` is
+    an integer, `utility` is formatted as `%.10g` and the label is quoted as
+    `csv.writer` would; lines end in CRLF.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path", "strategy", "utility"])
+        fh.write("path,strategy,utility\r\n")
         for label, values in report.utilities.items():
-            for m, u in enumerate(values):
-                w.writerow([m, label, f"{u:.10g}"])
+            row = "%d," + quote_field(label).replace("%", "%%") + ",%.10g\r\n"
+            paths = np.arange(len(values))
+            write_blocks(fh, row, (
+                np.column_stack([paths[i:i + BLOCK_ROWS],
+                                 values[i:i + BLOCK_ROWS]])
+                for i in range(0, len(values), BLOCK_ROWS)))
 
 
 def write_outperformance_csv(rows, path) -> None:

@@ -19,7 +19,7 @@ activations it kept. There is no second, operator-by-operator version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -263,7 +263,3 @@ def perturb(params: MlpParams, name: str, i: int, j: int,
     out = params.copy()
     getattr(out, name)[i, j] += delta
     return out
-
-
-def _replace_norm(norm: PolicyNorm, **kw) -> PolicyNorm:
-    return replace(norm, **kw)

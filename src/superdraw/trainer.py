@@ -42,6 +42,7 @@ from .utility import UtilityParams, bequest_utility, consumption_utility
 __all__ = [
     "TrainConfig",
     "TrainReport",
+    "TrainingAborted",
     "AdamState",
     "adam_step",
     "rollout",
@@ -140,6 +141,14 @@ class TrainReport:
                         "backward_ms", "adam_ms"])
             for it, obj, *ms in self.rows:
                 w.writerow([it, f"{obj:.10g}"] + [f"{x:.1f}" for x in ms])
+
+
+class TrainingAborted(NumericError):
+    """A non-finite training step; `report` holds the rows logged before it."""
+
+    def __init__(self, message: str, report: TrainReport):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclass
@@ -290,7 +299,8 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
     cfg.seed, the initialization from cfg.seed + 1, and the batch schedule
     from cfg.seed + 2. Pass `panel` to reuse a pre-simulated training panel
     (it must match cfg.m_train and cfg.horizon). `progress`, if given, is
-    called with (iteration, objective) at the logging cadence.
+    called with (iteration, objective) at the logging cadence. A non-finite
+    step raises `TrainingAborted`, which carries the rows logged before it.
     """
     curve = cfg.curve()
     if panel is None:
@@ -341,7 +351,8 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
             if ckpt_dir:
                 save_checkpoint(ckpt_dir / "checkpoint_abort.npz", params,
                                 cfg.norm(), iteration=it - 1)
-            raise NumericError(f"{exc} at iteration {it}") from None
+            raise TrainingAborted(f"{exc} at iteration {it}", report) \
+                from None
         phase_ms += np.array([t1 - t0, t2 - t1, time.perf_counter() - t2]) \
             * 1e3
 

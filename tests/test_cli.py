@@ -146,6 +146,39 @@ def test_train_smoke_reproducible(tmp_path, capsys):
     assert (out_a / "config_used.ini").exists()
 
 
+def test_train_abort_keeps_report_rows(tmp_path, monkeypatch, capsys):
+    # Iteration 4 gets a NaN gradient while its objective stays finite.
+    from superdraw import trainer
+    real = trainer.batch_objective
+    calls = []
+
+    def poisoned(params, panel, curve, cfg):
+        obj, p = real(params, panel, curve, cfg)
+        calls.append(1)
+        if len(calls) == 4:
+            p["w3"].grad = np.full_like(p["w3"].value, np.nan)
+        return obj, p
+
+    monkeypatch.setattr(trainer, "batch_objective", poisoned)
+    cfgp = write_config(tmp_path / "cfg.ini", """
+[train]
+m_train = 16
+iterations = 6
+batch_size = 8
+horizon = 4
+seed = 2
+log_every = 1
+checkpoint_every = 1
+""")
+    out = tmp_path / "run"
+    assert run(["train", "--config", cfgp, "--out", out]) == 4
+    assert "at iteration 4" in capsys.readouterr().err
+    assert (out / "checkpoints" / "checkpoint_abort.npz").exists()
+    rep = list(csv.DictReader(open(out / "report.csv")))
+    assert [r["iter"] for r in rep] == ["1", "2", "3"]
+    assert all(np.isfinite(float(r["objective"])) for r in rep)
+
+
 # ----------------------------------------------------------------- evaluate
 
 

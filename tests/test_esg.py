@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -342,3 +343,39 @@ def test_panel_csv_export(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
     assert float(first[-1]) == 1.0
+
+
+_PANEL_COLS = ("q", "s", "e", "n", "b", "o", "h", "R", "Q")
+
+
+def _panel_csv_oracle(panel, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["path", "t", "q", "s", "e", "n", "b", "o", "h", "R", "Q"])
+        for m in range(panel.M):
+            for t in range(panel.T + 1):
+                w.writerow([m, t] + [f"{getattr(panel, c)[m, t]:.10g}"
+                                     for c in _PANEL_COLS])
+
+
+@pytest.mark.parametrize("M, T", [(1, 2), (1, 41), (250, 2), (17, 41)])
+def test_panel_csv_matches_csv_writer_bytes(tmp_path, M, T):
+    # Values whose %.10g text is easy to get wrong: signed zero, exponent
+    # forms on both sides, integral floats and more than ten digits.
+    crafted = np.array([-0.0, 1e-05, 1.5e+17, 1.0, 123456789012.0, -2.5,
+                        -1e-05, -1.5e+17, -123456789012.0, 0.1, -0.3333])
+    rng = np.random.default_rng(M * 100 + T)
+    cols = {}
+    for c in _PANEL_COLS:
+        vals = rng.normal(size=(M, T + 1)) * 10.0 ** rng.integers(-6, 7)
+        flat = vals.ravel()
+        flat[rng.permutation(flat.size)[:crafted.size]] = \
+            crafted[:min(crafted.size, flat.size)]
+        cols[c] = vals
+    cols["Q"] = np.abs(cols["Q"]) + 1e-05
+    cols["Q"][:, 0] = 1.0
+    panel = esg.ScenarioPanel(M=M, T=T, **cols)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    esg.panel_to_csv(panel, got)
+    _panel_csv_oracle(panel, want)
+    assert got.read_bytes() == want.read_bytes()

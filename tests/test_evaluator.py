@@ -5,13 +5,14 @@ import csv
 import numpy as np
 import pytest
 
+from superdraw import evaluator
 from superdraw.baselines import StrategyKind, strategy_consumer
 from superdraw.errors import ConfigError
-from superdraw.evaluator import (POLICY_LABEL, compare, kde, median_paths,
-                                 outperformance_curve, silverman_bandwidth,
-                                 utility_diff_density, write_kde_csv,
-                                 write_medians_csv, write_outperformance_csv,
-                                 write_utilities_csv)
+from superdraw.evaluator import (POLICY_LABEL, EvalReport, compare, kde,
+                                 median_paths, outperformance_curve,
+                                 silverman_bandwidth, utility_diff_density,
+                                 write_kde_csv, write_medians_csv,
+                                 write_outperformance_csv, write_utilities_csv)
 from superdraw.policy import he_init
 from superdraw.trainer import PathRecords
 
@@ -66,6 +67,26 @@ def test_outperformance_curve_orders_and_counts():
     with pytest.raises(ConfigError):
         outperformance_curve(list(reversed(snaps)), [StrategyKind.MODEST],
                              panel, cfg)
+
+
+def test_outperformance_curve_reuses_baseline_utilities(monkeypatch):
+    cfg = small_config(horizon=8)
+    panel = synthetic_panel(40, cfg.horizon, seed=6)
+    snaps = [(0, he_init(seed=3)), (10, he_init(seed=9))]
+    kinds = [StrategyKind.LUXURY, StrategyKind.MODEST]
+    want = outperformance_curve(snaps, kinds, panel, cfg)
+    report = compare(snaps[-1][1], kinds, panel, cfg)
+    rolled = []
+    real = evaluator.rollout_strategy
+
+    def counted(kind, *args, **kwargs):
+        rolled.append(kind)
+        return real(kind, *args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "rollout_strategy", counted)
+    assert outperformance_curve(snaps, kinds, panel, cfg,
+                                base_utilities=report.utilities) == want
+    assert rolled == []
 
 
 # ---------------------------------------------------------------- densities
@@ -182,3 +203,32 @@ def test_csv_exports_roundtrip(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["age", "consumption", "wealth", "consumption_rate"]
     assert len(rows) == 1 + cfg.horizon + 1
+
+
+def _utilities_csv_oracle(report, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["path", "strategy", "utility"])
+        for label, values in report.utilities.items():
+            for m, u in enumerate(values):
+                w.writerow([m, label, f"{u:.10g}"])
+
+
+@pytest.mark.parametrize("m", [1, 3, 700])
+def test_utilities_csv_matches_csv_writer_bytes(tmp_path, m):
+    crafted = np.array([-0.0, 1e-05, 1.5e+17, 1.0, 123456789012.0, -2.5,
+                        -1e-05, -1.5e+17, -123456789012.0, -0.3333])
+    rng = np.random.default_rng(m)
+    labels = [POLICY_LABEL, "modest", "four_percent", "odd, \"quoted\" 5%"]
+    utilities = {}
+    for k, label in enumerate(labels):
+        vals = -rng.lognormal(size=m) * 10.0 ** (3 * k)
+        idx = rng.permutation(m)[:crafted.size]
+        vals[idx] = crafted[:idx.size]
+        utilities[label] = vals
+    report = EvalReport(utilities=utilities, outperformance={}, diffs={},
+                        config=small_config())
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_utilities_csv(report, got)
+    _utilities_csv_oracle(report, want)
+    assert got.read_bytes() == want.read_bytes()
