@@ -1,8 +1,9 @@
-"""Means-tested pension, fund fees, inflation deflator, wealth transition.
+"""Means-tested pension, fund fees, wealth transition.
 
 Every threshold and payment indexes with the compound deflator Q (base year
-Q = 1), so the whole block is homogeneous of degree one in (W, Q): real
-outcomes depend only on real wealth W/Q.
+Q = 1; `esg.simulate` writes it into the scenario panel), so the whole block
+is homogeneous of degree one in (W, Q): real outcomes depend only on real
+wealth W/Q.
 
 Each block (the pension, the fee, the wealth transition) computes its value
 once, from one NumPy expression, for plain numpy evaluation and training
@@ -20,18 +21,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 __all__ = [
     "PensionParams",
     "AccountParams",
-    "AccountState",
-    "compound_deflator",
-    "deflator_path",
     "age_pension",
     "asset_test_cutoff",
     "fees",
-    "wealth_step",
     "transition_balance",
 ]
 
@@ -79,34 +76,6 @@ class AccountParams:
     @property
     def fee_rate(self) -> float:
         return self.indirect_cost_ratio + self.investment_fee
-
-
-@dataclass(frozen=True)
-class AccountState:
-    W: float    # nominal wealth
-    Q: float    # compound deflator
-    t: int      # years since retirement
-
-
-def compound_deflator(q_path, t: int) -> float:
-    """Q_t = exp(sum of inflation over years 1..t); Q_0 = 1.
-
-    q_path[s] is the inflation over year s-1 -> s, so entry 0 is unused.
-    """
-    if t < 0:
-        raise ConfigError("t must be >= 0")
-    if t == 0:
-        return 1.0
-    q = np.asarray(q_path, dtype=float)
-    return float(np.exp(q[1:t + 1].sum()))
-
-
-def deflator_path(q: np.ndarray) -> np.ndarray:
-    """Vectorized compound_deflator along axis -1 (paths x years)."""
-    q = np.asarray(q, dtype=float)
-    out = np.ones_like(q)
-    out[..., 1:] = np.exp(np.cumsum(q[..., 1:], axis=-1))
-    return out
 
 
 def _check_wealth(W) -> None:
@@ -180,15 +149,3 @@ def transition_balance(W, A, C, fee, R):
         return value
     slope = (before > 0) * growth
     return ad.local(value, (W, slope), (A, slope), (C, -slope), (fee, -slope))
-
-
-def wealth_step(state: AccountState, C: float, A: float, R: float,
-                fee: float) -> AccountState:
-    """One-year account update; validates the consumption constraint."""
-    if not (0.0 <= C <= state.W + A):
-        raise ConfigError(
-            f"consumption {C} outside [0, {state.W + A}] at t={state.t}")
-    W_next = transition_balance(state.W, A, C, fee, R)
-    if not np.isfinite(W_next):
-        raise NumericError(f"non-finite wealth after step t={state.t}")
-    return AccountState(W=float(W_next), Q=state.Q, t=state.t + 1)

@@ -28,13 +28,13 @@ from .account import AccountParams, PensionParams
 from .baselines import StrategyKind
 from .errors import ConfigError, DataError, NumericError
 from .esg import EsgParams
-from .evaluator import (POLICY_LABEL, compare, median_paths,
-                        outperformance_curve, utility_diff_density,
-                        write_kde_csv, write_medians_csv,
-                        write_outperformance_csv, write_utilities_csv)
+from .evaluator import (POLICY_LABEL, compare, evaluate_policy,
+                        median_paths, outperformance_curve,
+                        utility_diff_density, write_kde_csv,
+                        write_medians_csv, write_outperformance_csv,
+                        write_utilities_csv)
 from .policy import load_checkpoint
-from .trainer import TrainConfig, TrainingAborted, rollout_consume, train
-from .trainer import policy_consumer as _policy_consumer
+from .trainer import TrainConfig, TrainingAborted, train
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -56,6 +56,8 @@ _ACCOUNT_KEYS = {"omega": float, "admin_fee": float,
                  "indirect_cost_ratio": float, "investment_fee": float}
 _EVALUATE_KEYS = {"m_test": int, "test_seed": int}
 _SIMULATE_KEYS = {"m": int, "t": int}
+_ESG_KEYS = {"params_file": str,
+             **{f.name: float for f in dataclasses.fields(EsgParams)}}
 
 
 def _new_ini() -> configparser.ConfigParser:
@@ -95,22 +97,11 @@ def _section(cp, name: str, allowed: dict) -> dict:
 
 
 def _esg_params(cp) -> EsgParams:
-    if cp is None or not cp.has_section("esg"):
-        return esg_mod.DEFAULT_PARAMS
-    items = dict(cp.items("esg"))
-    base = esg_mod.DEFAULT_PARAMS
-    if "params_file" in items:
-        base = esg_mod.load_params(items.pop("params_file"))
-    allowed = {f.name for f in dataclasses.fields(EsgParams)}
-    changes = {}
-    for key, raw in items.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in section [esg]")
-        try:
-            changes[key] = float(raw)
-        except ValueError:
-            raise ConfigError(f"bad value for esg.{key}: {raw!r}") from None
-    return esg_mod.vary(base, **changes) if changes else base
+    changes = _section(cp, "esg", _ESG_KEYS)
+    params_file = changes.pop("params_file", None)
+    base = esg_mod.DEFAULT_PARAMS if params_file is None \
+        else esg_mod.load_params(params_file)
+    return dataclasses.replace(base, **changes)
 
 
 def build_train_config(cp, seed_override: int | None = None) -> TrainConfig:
@@ -131,17 +122,10 @@ def build_train_config(cp, seed_override: int | None = None) -> TrainConfig:
 def _echo_config(cfg: TrainConfig, out_dir: Path, extra: dict | None = None):
     """Resolved settings, written next to the outputs."""
     cp = _new_ini()
-    cp["train"] = {
-        "m_train": str(cfg.m_train), "iterations": str(cfg.iterations),
-        "batch_size": str(cfg.batch_size), "seed": str(cfg.seed),
-        "horizon": str(cfg.horizon),
-        "retirement_age": str(cfg.retirement_age), "gender": cfg.gender,
-        "w0": repr(cfg.w0), "learning_rate": repr(cfg.learning_rate),
-        "log_every": str(cfg.log_every),
-        "checkpoint_every": str(cfg.checkpoint_every),
-        "snapshot_every": str(cfg.snapshot_every),
-        "tail_average": str(cfg.tail_average),
-    }
+    train_values = {k: getattr(cfg, k) for k in _TRAIN_KEYS
+                    if k != "life_table"}
+    cp["train"] = {k: v if isinstance(v, str) else repr(v)
+                   for k, v in train_values.items()}
     if cfg.life_table_path:
         cp["train"]["life_table"] = str(cfg.life_table_path)
     cp["utility"] = {k: repr(getattr(cfg.utility, k)) for k in _UTILITY_KEYS}
@@ -230,15 +214,26 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_policy(path):
-    """Checkpoint file, or the final checkpoint inside a directory."""
+def _load_policy(path, cfg: TrainConfig):
+    """Checkpoint file, or the final checkpoint inside a directory.
+
+    The checkpoint's input normalization must match the config's horizon
+    and wealth scale; otherwise the network would read rescaled inputs.
+    """
     p = Path(path)
     if p.is_dir():
         final = p / "checkpoint_final.npz"
         if not final.exists():
             raise DataError(f"no checkpoint_final.npz under {p}")
-        return load_checkpoint(final)
-    return load_checkpoint(p)
+        p = final
+    params, norm, meta = load_checkpoint(p)
+    if norm.horizon != float(cfg.horizon) or \
+            abs(norm.wealth_scale - cfg.norm().wealth_scale) > 1e-6:
+        raise ConfigError(
+            "checkpoint normalization does not match the config "
+            f"(horizon {norm.horizon} vs {cfg.horizon}, wealth scale "
+            f"{norm.wealth_scale} vs {cfg.norm().wealth_scale})")
+    return params, meta
 
 
 def _checkpoint_sequence(path):
@@ -263,13 +258,7 @@ def cmd_evaluate(args) -> int:
         ev.get("test_seed", cfg.seed + 1_000)
     if test_seed == cfg.seed:
         raise ConfigError("test seed must differ from the training seed")
-    params, norm, meta = _load_policy(args.checkpoint)
-    if norm.horizon != float(cfg.horizon) or \
-            abs(norm.wealth_scale - cfg.norm().wealth_scale) > 1e-6:
-        raise ConfigError(
-            "checkpoint normalization does not match the config "
-            f"(horizon {norm.horizon} vs {cfg.horizon}, wealth scale "
-            f"{norm.wealth_scale} vs {cfg.norm().wealth_scale})")
+    params, meta = _load_policy(args.checkpoint, cfg)
     panel = esg_mod.simulate(cfg.esg, cfg.initial_econ_state(), m_test,
                              cfg.horizon, seed=test_seed,
                              omega=cfg.account.omega)
@@ -318,14 +307,11 @@ def cmd_demo_path(args) -> int:
     cp = _read_ini(args.config) if args.config else None
     cfg = build_train_config(cp)
     seed = args.seed if args.seed is not None else cfg.seed + 2_000
-    params, norm, _ = _load_policy(args.checkpoint)
+    params, _ = _load_policy(args.checkpoint, cfg)
     panel = esg_mod.simulate(cfg.esg, cfg.initial_econ_state(), 1,
                              cfg.horizon, seed=seed, omega=cfg.account.omega)
-    curve = cfg.curve()
-    plain = {n: getattr(params, n) for n in
-             ("w0", "b0", "w1", "b1", "w2", "b2", "w3", "b3")}
-    totals, rec = rollout_consume(_policy_consumer(plain, norm), panel,
-                                  curve, cfg, record=True)
+    totals, rec = evaluate_policy(params, panel, cfg.curve(), cfg,
+                                  record=True)
     with open(out / "demo_path.csv", "w", newline="") as fh:
         fh.write("age,q,R,consumption_real,wealth_real,pension_real\n")
         for t in range(cfg.horizon + 1):

@@ -7,6 +7,9 @@ Inflation, S and domestic equity are AR(1); the remaining factors cascade off
 freshly computed values within the year, in the fixed order
 q -> S -> e -> n -> b -> o -> h.
 
+The seven conditional-mean equations are written once, in the `_MEANS`
+table; `simulate` also writes the compound inflation deflator Q.
+
 The module covers three jobs: stepping/simulating the model with one
 counter-based random stream per path, refitting the coefficients from an
 annual historical index table by per-equation OLS, and residual diagnostics
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +112,7 @@ DEFAULT_PARAMS = EsgParams(
 
 @dataclass(frozen=True)
 class EconState:
-    """One year's factor values. s (nominal short rate) is derived: s = S + q."""
+    """Factor values (scalars, or arrays over paths); s = S + q is derived."""
 
     q: float
     S: float
@@ -122,9 +125,6 @@ class EconState:
     @property
     def s(self) -> float:
         return self.S + self.q
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q, self.S, self.e, self.n, self.b, self.o, self.h])
 
 
 @dataclass(frozen=True)
@@ -229,22 +229,40 @@ def stationary_state(params: EsgParams) -> EconState:
     return EconState(q=q, S=S, e=e, n=n, b=b, o=o, h=h)
 
 
+# Conditional mean of each equation, in cascade order: `lag` holds last
+# year's values, `cur` this year's values of the factors computed so far.
+_MEANS = {
+    "q": lambda p, lag, cur: (1.0 - p.phi_q) * p.mu_q + p.phi_q * lag["q"],
+    "S": lambda p, lag, cur: (p.phi_S * lag["S"]
+                              + (1.0 - p.phi_S) * (p.mu_S - p.mu_q)),
+    "e": lambda p, lag, cur: (1.0 - p.phi_e) * p.mu_e + p.phi_e * lag["e"],
+    "n": lambda p, lag, cur: (p.psi_n0 + p.psi_n1 * lag["n"]
+                              + p.psi_n2 * cur["e"]),
+    "b": lambda p, lag, cur: (p.psi_b0 + p.psi_b1 * lag["b"]
+                              + p.psi_b2 * cur["n"]),
+    "o": lambda p, lag, cur: (p.psi_o0 + p.psi_o1 * cur["e"]
+                              + p.psi_o2 * cur["n"]),
+    "h": lambda p, lag, cur: (p.psi_h0 + p.psi_h1 * cur["q"]
+                              + p.psi_h2 * cur["b"]),
+}
+_FACTORS = tuple(_MEANS)
+
+
+def _cascade(params: EsgParams, lag: dict, shocks) -> dict:
+    """One year of the model: each factor's mean plus its scaled shock."""
+    cur = {}
+    for k, eps in zip(_FACTORS, shocks):
+        cur[k] = _MEANS[k](params, lag, cur) + eps
+    return cur
+
+
 def step_esg(params: EsgParams, prev: EconState, shocks: ShockVector) -> EconState:
     """Advance the model one year. Shocks are the scaled residuals."""
-    vals = list(prev.as_array()) + [shocks.eps_q, shocks.eps_S, shocks.eps_e,
-                                    shocks.eps_n, shocks.eps_b, shocks.eps_o,
-                                    shocks.eps_h]
-    if not all(math.isfinite(v) for v in vals):
+    lag = {k: getattr(prev, k) for k in _FACTORS}
+    eps = [getattr(shocks, "eps_" + k) for k in _FACTORS]
+    if not all(math.isfinite(v) for v in [*lag.values(), *eps]):
         raise NumericError("non-finite state or shock")
-    p = params
-    q = (1.0 - p.phi_q) * p.mu_q + p.phi_q * prev.q + shocks.eps_q
-    S = p.phi_S * prev.S + (1.0 - p.phi_S) * (p.mu_S - p.mu_q) + shocks.eps_S
-    e = (1.0 - p.phi_e) * p.mu_e + p.phi_e * prev.e + shocks.eps_e
-    n = p.psi_n0 + p.psi_n1 * prev.n + p.psi_n2 * e + shocks.eps_n
-    b = p.psi_b0 + p.psi_b1 * prev.b + p.psi_b2 * n + shocks.eps_b
-    o = p.psi_o0 + p.psi_o1 * e + p.psi_o2 * n + shocks.eps_o
-    h = p.psi_h0 + p.psi_h1 * q + p.psi_h2 * b + shocks.eps_h
-    return EconState(q=q, S=S, e=e, n=n, b=b, o=o, h=h)
+    return EconState(**_cascade(params, lag, eps))
 
 
 def portfolio_return(state: EconState, omega: float) -> float:
@@ -279,35 +297,25 @@ def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
     for m in range(M):
         eps[m] = _path_shocks(params, seed, m, T)
 
-    p = params
-    cols = {name: np.empty((M, T + 1)) for name in
-            ("q", "S", "e", "n", "b", "o", "h")}
-    for name in cols:
-        cols[name][:, 0] = getattr(initial, name)
+    cols = {k: np.empty((M, T + 1)) for k in _FACTORS}
+    for k in _FACTORS:
+        cols[k][:, 0] = getattr(initial, k)
     for t in range(1, T + 1):
-        ez = eps[:, t - 1, :]
-        q = (1.0 - p.phi_q) * p.mu_q + p.phi_q * cols["q"][:, t - 1] + ez[:, 0]
-        S = p.phi_S * cols["S"][:, t - 1] + (1.0 - p.phi_S) * (p.mu_S - p.mu_q) + ez[:, 1]
-        e = (1.0 - p.phi_e) * p.mu_e + p.phi_e * cols["e"][:, t - 1] + ez[:, 2]
-        n = p.psi_n0 + p.psi_n1 * cols["n"][:, t - 1] + p.psi_n2 * e + ez[:, 3]
-        b = p.psi_b0 + p.psi_b1 * cols["b"][:, t - 1] + p.psi_b2 * n + ez[:, 4]
-        o = p.psi_o0 + p.psi_o1 * e + p.psi_o2 * n + ez[:, 5]
-        h = p.psi_h0 + p.psi_h1 * q + p.psi_h2 * b + ez[:, 6]
-        for name, col in zip(("q", "S", "e", "n", "b", "o", "h"),
-                             (q, S, e, n, b, o, h)):
-            cols[name][:, t] = col
+        year = _cascade(params, {k: cols[k][:, t - 1] for k in _FACTORS},
+                        eps[:, t - 1, :].T)
+        for k in _FACTORS:
+            cols[k][:, t] = year[k]
 
-    s = cols["S"] + cols["q"]
-    growth = 0.5 * cols["e"] + 0.3 * cols["n"] + 0.2 * cols["h"]
-    defensive = 0.3 * s + 0.5 * cols["b"] + 0.2 * cols["o"]
-    R = omega * growth + (1.0 - omega) * defensive
+    state = EconState(**cols)
+    R = portfolio_return(state, omega)
     R[:, 0] = 0.0
     Q = np.ones((M, T + 1))
     Q[:, 1:] = np.exp(np.cumsum(cols["q"][:, 1:], axis=1))
     if not np.all(np.isfinite(R)):
         raise NumericError("non-finite values in simulated panel")
-    return ScenarioPanel(M=M, T=T, q=cols["q"], s=s, e=cols["e"], n=cols["n"],
-                         b=cols["b"], o=cols["o"], h=cols["h"], R=R, Q=Q)
+    return ScenarioPanel(M=M, T=T, q=cols["q"], s=state.s, e=cols["e"],
+                         n=cols["n"], b=cols["b"], o=cols["o"], h=cols["h"],
+                         R=R, Q=Q)
 
 
 # -------------------------------------------------------------- calibration
@@ -421,18 +429,10 @@ def residual_diagnostics(history: HistoricalSeries, params: EsgParams):
     factor order q, S, e, n, b, o, h.
     """
     tab = log_return_table(history)
-    q, S, e, n, b, o, h = (tab[k] for k in ("q", "S", "e", "n", "b", "o", "h"))
-    p = params
-    res = {
-        "q": q[1:] - ((1 - p.phi_q) * p.mu_q + p.phi_q * q[:-1]),
-        "S": S[1:] - (p.phi_S * S[:-1] + (1 - p.phi_S) * (p.mu_S - p.mu_q)),
-        "e": e[1:] - ((1 - p.phi_e) * p.mu_e + p.phi_e * e[:-1]),
-        "n": n[1:] - (p.psi_n0 + p.psi_n1 * n[:-1] + p.psi_n2 * e[1:]),
-        "b": b[1:] - (p.psi_b0 + p.psi_b1 * b[:-1] + p.psi_b2 * n[1:]),
-        "o": (o - (p.psi_o0 + p.psi_o1 * e + p.psi_o2 * n))[1:],
-        "h": (h - (p.psi_h0 + p.psi_h1 * q + p.psi_h2 * b))[1:],
-    }
-    mat = np.corrcoef(np.vstack([res[k] for k in ("q", "S", "e", "n", "b", "o", "h")]))
+    lag = {k: tab[k][:-1] for k in _FACTORS}
+    cur = {k: tab[k][1:] for k in _FACTORS}
+    res = {k: cur[k] - _MEANS[k](params, lag, cur) for k in _FACTORS}
+    mat = np.corrcoef(np.vstack([res[k] for k in _FACTORS]))
     return mat, res
 
 
@@ -500,8 +500,3 @@ def panel_to_csv(panel: ScenarioPanel, path) -> None:
         fh.write("path,t," + ",".join(_PANEL_COLUMNS) + "\r\n")
         write_blocks(fh, "%d,%d," + ",".join(["%.10g"] * len(_PANEL_COLUMNS))
                      + "\r\n", blocks())
-
-
-def vary(params: EsgParams, **changes) -> EsgParams:
-    """Convenience wrapper over dataclasses.replace."""
-    return replace(params, **changes)

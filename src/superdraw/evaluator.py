@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csvblock import BLOCK_ROWS, quote_field, write_blocks
-from .baselines import StrategyKind, rollout_strategy
+from .baselines import rollout_strategy
 from .errors import ConfigError
 from .esg import ScenarioPanel
 from .mortality import SurvivalCurve
@@ -42,8 +42,6 @@ __all__ = [
 ]
 
 POLICY_LABEL = "policy"
-
-ALL_STRATEGIES = tuple(StrategyKind)
 
 
 @dataclass

@@ -1,14 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pension_oracle
-from superdraw import account
-from superdraw.account import (AccountParams, AccountState, PensionParams,
-                               age_pension, asset_test_cutoff,
-                               compound_deflator, deflator_path, fees,
-                               transition_balance, wealth_step)
+from superdraw import esg
+from superdraw.account import (AccountParams, PensionParams, age_pension,
+                               asset_test_cutoff, fees, transition_balance)
 from superdraw.autodiff import Tensor
 from superdraw.errors import ConfigError
 
@@ -19,33 +19,43 @@ ACC = AccountParams()
 # ------------------------------------------------------------------ deflator
 
 
+def _deflated_panel(M, T, params=esg.DEFAULT_PARAMS, q0=0.02):
+    # The deflator Q is simulated with the panel, from the panel's own q.
+    init = esg.EconState(q=q0, S=0.01, e=0.05, n=0.05, b=0.03, o=0.02, h=0.04)
+    return esg.simulate(params, init, M, T, seed=3)
+
+
 def test_deflator_zero_inflation():
-    assert compound_deflator([0.0, 0.0, 0.0], 2) == 1.0
+    # Inflation pinned at zero: sigma_q far below one ulp of 1.
+    params = dataclasses.replace(esg.DEFAULT_PARAMS, mu_q=0.0, phi_q=0.0,
+                                 sigma_q=1e-300)
+    panel = _deflated_panel(2, 2, params, q0=0.0)
+    assert np.all(panel.Q == 1.0)
 
 
 def test_deflator_base_year_is_one():
-    assert compound_deflator([0.5, 0.3], 0) == 1.0
+    assert np.all(_deflated_panel(3, 2, q0=0.5).Q[:, 0] == 1.0)
 
 
 def test_deflator_single_step():
-    assert compound_deflator([0.0, 0.024], 1) == pytest.approx(np.exp(0.024))
+    panel = _deflated_panel(3, 1)
+    assert panel.Q[:, 1] == pytest.approx(np.exp(panel.q[:, 1]))
 
 
 def test_deflator_telescopes():
-    q = [0.0, 0.02, -0.01, 0.03]
+    panel = _deflated_panel(2, 3)
     for t in range(1, 4):
-        assert compound_deflator(q, t) / compound_deflator(q, t - 1) == \
-            pytest.approx(np.exp(q[t]))
+        assert panel.Q[:, t] / panel.Q[:, t - 1] == \
+            pytest.approx(np.exp(panel.q[:, t]))
 
 
 def test_deflator_path_matches_scalar():
-    rng = np.random.default_rng(0)
-    q = rng.normal(0.02, 0.01, size=(3, 6))
-    Q = deflator_path(q)
+    panel = _deflated_panel(3, 5)
+    q, Q = panel.q, panel.Q
     assert np.all(Q[:, 0] == 1.0)
     for m in range(3):
         for t in range(6):
-            assert Q[m, t] == pytest.approx(compound_deflator(q[m], t))
+            assert Q[m, t] == pytest.approx(np.exp(np.sum(q[m, 1:t + 1])))
 
 
 # ------------------------------------------------------------------- pension
@@ -144,32 +154,21 @@ def test_account_params_validation():
 
 
 def test_wealth_step_plain():
-    st0 = AccountState(W=500_000.0, Q=1.0, t=0)
-    nxt = wealth_step(st0, C=50_000.0, A=0.0, R=0.0, fee=0.0)
-    assert nxt.W == pytest.approx(450_000.0)
-    assert nxt.t == 1
+    W = transition_balance(500_000.0, A=0.0, C=50_000.0, fee=0.0, R=0.0)
+    assert W == pytest.approx(450_000.0)
 
 
 def test_wealth_step_depletion_floor():
     Q = 1.3
     A = 24_619.0 * Q
-    st0 = AccountState(W=100.0, Q=Q, t=5)
-    nxt = wealth_step(st0, C=100.0 + A, A=A, R=0.1, fee=65.0)
-    assert nxt.W == 0.0
+    W = transition_balance(100.0, A=A, C=100.0 + A, fee=65.0, R=0.1)
+    assert W == 0.0
 
 
 def test_wealth_step_worked_example():
-    st0 = AccountState(W=500_000.0, Q=1.0, t=0)
-    nxt = wealth_step(st0, C=51_917.0, A=6_152.50, R=0.0, fee=5_550.0)
-    assert nxt.W == pytest.approx(448_685.50)
-
-
-def test_wealth_step_rejects_constraint_violation():
-    st0 = AccountState(W=1_000.0, Q=1.0, t=0)
-    with pytest.raises(ConfigError):
-        wealth_step(st0, C=2_000.0, A=500.0, R=0.0, fee=0.0)
-    with pytest.raises(ConfigError):
-        wealth_step(st0, C=-1.0, A=0.0, R=0.0, fee=0.0)
+    W = transition_balance(500_000.0, A=6_152.50, C=51_917.0, fee=5_550.0,
+                           R=0.0)
+    assert W == pytest.approx(448_685.50)
 
 
 def test_wealth_never_negative_random():
@@ -180,8 +179,7 @@ def test_wealth_never_negative_random():
         C = rng.uniform(0, W + A)
         fee = rng.uniform(0, 2e4)
         R = rng.normal(0, 0.3)
-        nxt = wealth_step(AccountState(W, 1.0, 0), C, A, R, fee)
-        assert nxt.W >= 0.0
+        assert transition_balance(W, A, C, fee, R) >= 0.0
 
 
 # ------------------------------------------------------------ differentiable

@@ -231,13 +231,19 @@ def test_evaluate_rejects_training_seed(trained_run, tmp_path):
                 "--m-test", 10, "--seed", 5, "--out", tmp_path]) == 2
 
 
-def test_evaluate_rejects_mismatched_normalization(trained_run, tmp_path):
+@pytest.mark.parametrize("command", ["evaluate", "demo-path"])
+def test_evaluate_rejects_mismatched_normalization(trained_run, tmp_path,
+                                                   command):
     _, run_dir = trained_run
     other = write_config(tmp_path / "othercfg.ini",
                          TINY_TRAIN.replace("horizon = 8", "horizon = 12"))
-    assert run(["evaluate", "--config", other,
+    out = tmp_path / "out"
+    extra = ["--m-test", 10] if command == "evaluate" else []
+    assert run([command, "--config", other,
                 "--checkpoint", run_dir / "checkpoints",
-                "--m-test", 10, "--out", tmp_path]) == 2
+                *extra, "--out", out]) == 2
+    assert not (out / "demo_path.csv").exists()
+    assert not list(out.glob("*.csv"))
 
 
 # ---------------------------------------------------------------- demo-path
@@ -264,14 +270,20 @@ def test_demo_path_deterministic_and_bounded(trained_run, tmp_path):
 # ------------------------------------------------------------------- config
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     cfgp = write_config(tmp_path / "cfg.ini", "[train]\nm_trian = 10\n")
     assert run(["train", "--config", cfgp, "--out", tmp_path]) == 2
+    cfgp = write_config(tmp_path / "esg.ini", "[esg]\nfoo = 1\n")
+    assert run(["train", "--config", cfgp, "--out", tmp_path]) == 2
+    assert "unknown key 'foo' in section [esg]" in capsys.readouterr().err
 
 
-def test_bad_config_value_rejected(tmp_path):
+def test_bad_config_value_rejected(tmp_path, capsys):
     cfgp = write_config(tmp_path / "cfg.ini", "[train]\nhorizon = soon\n")
     assert run(["train", "--config", cfgp, "--out", tmp_path]) == 2
+    cfgp = write_config(tmp_path / "esg.ini", "[esg]\nmu_q = abc\n")
+    assert run(["train", "--config", cfgp, "--out", tmp_path]) == 2
+    assert "bad value for esg.mu_q: 'abc'" in capsys.readouterr().err
 
 
 def test_esg_override_via_config(tmp_path):

@@ -307,6 +307,19 @@ def test_residual_diagnostics(bundled_history):
     assert all(len(v) == len(bundled_history) - 2 for v in res.values())
 
 
+def test_residuals_recover_simulated_shocks():
+    # Simulation and residuals go through the same mean equations, so the
+    # residuals of a simulated path are the shocks that drove it.
+    T, seed = 30, 9
+    init = esg.stationary_state(DEFAULT_PARAMS)
+    panel = esg.simulate(DEFAULT_PARAMS, init, M=1, T=T, seed=seed)
+    _, res = esg.residual_diagnostics(history_from_panel(panel),
+                                      DEFAULT_PARAMS)
+    shocks = esg._path_shocks(DEFAULT_PARAMS, seed, 0, T)[1:]
+    for i, k in enumerate(("q", "S", "e", "n", "b", "o", "h")):
+        assert np.max(np.abs(res[k] - shocks[:, i])) < 1e-12, k
+
+
 def test_initial_state_from_history(bundled_history):
     st = esg.initial_state_from_history(bundled_history)
     assert st.q == pytest.approx(np.log(116.6 / 114.8))
