@@ -27,7 +27,6 @@ __all__ = [
     "rule_of_thumb_rate",
     "deterministic_consumption",
     "strategy_consumer",
-    "rollout_deterministic",
     "rollout_strategy",
 ]
 
@@ -63,11 +62,11 @@ REAL_TARGETS = {
 _ROT_BAND = (250_000.0, 500_000.0)
 
 
-def minimum_drawdown_rate(age: float, bands=MINIMUM_DRAWDOWN_BANDS) -> float:
+def minimum_drawdown_rate(age: float) -> float:
     if age < 0:
         raise ConfigError("age must be non-negative")
-    rate = bands[0][1]
-    for lo, r in bands:
+    rate = MINIMUM_DRAWDOWN_BANDS[0][1]
+    for lo, r in MINIMUM_DRAWDOWN_BANDS:
         if age >= lo:
             rate = r
     return rate
@@ -82,12 +81,12 @@ def rule_of_thumb_rate(age: float, real_wealth):
 
 
 def deterministic_consumption(kind: StrategyKind, age: float, W, A, Q,
-                              w0: float, bands=MINIMUM_DRAWDOWN_BANDS):
+                              w0: float):
     """Nominal consumption of one strategy; broadcasts over paths."""
     W = np.asarray(W, dtype=float)
     available = W + A
     if kind is StrategyKind.MINIMUM:
-        c = minimum_drawdown_rate(age, bands) * W + A
+        c = minimum_drawdown_rate(age) * W + A
     elif kind is StrategyKind.FOUR_PERCENT:
         c = 0.04 * w0 * Q + A
     elif kind is StrategyKind.RULE_OF_THUMB:
@@ -99,13 +98,12 @@ def deterministic_consumption(kind: StrategyKind, age: float, W, A, Q,
     return np.clip(c, 0.0, available)
 
 
-def strategy_consumer(kind: StrategyKind, cfg: TrainConfig,
-                      bands=MINIMUM_DRAWDOWN_BANDS):
+def strategy_consumer(kind: StrategyKind, cfg: TrainConfig):
     """Adapter to the rollout engine's consume(t, W, A, R, Q) protocol."""
 
     def consume(t, W, A, R, Q):
         return deterministic_consumption(kind, cfg.retirement_age + t, W, A,
-                                         Q, cfg.w0, bands=bands)
+                                         Q, cfg.w0)
 
     return consume
 
@@ -116,13 +114,3 @@ def rollout_strategy(kind: StrategyKind, panel: ScenarioPanel,
     """All-paths rollout; returns (per-path utilities, records or None)."""
     return rollout_consume(strategy_consumer(kind, cfg), panel, curve, cfg,
                            record=record)
-
-
-def rollout_deterministic(kind: StrategyKind, panel: ScenarioPanel, m: int,
-                          cfg: TrainConfig, curve: SurvivalCurve | None = None):
-    """One path's real consumption/wealth trajectories and utility."""
-    if curve is None:
-        curve = cfg.curve()
-    total, rec = rollout_strategy(kind, panel.take([m]), curve, cfg,
-                                  record=True)
-    return rec.consumption[0], rec.wealth[0], float(total[0])

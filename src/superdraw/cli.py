@@ -45,7 +45,7 @@ _TRAIN_KEYS = {
     "m_train": int, "iterations": int, "batch_size": int, "seed": int,
     "horizon": int, "retirement_age": int, "gender": str, "w0": float,
     "learning_rate": float, "log_every": int, "checkpoint_every": int,
-    "snapshot_every": int, "tail_average": int, "life_table": str,
+    "life_table": str,
 }
 _UTILITY_KEYS = {"rho": float, "phi": float, "floor_epsilon": float,
                  "wealth_unit": float}
@@ -72,8 +72,6 @@ def _read_ini(path) -> configparser.ConfigParser:
     try:
         with open(path) as fh:
             cp.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return cp
@@ -244,7 +242,7 @@ def _checkpoint_sequence(path):
         if not stem.isdigit():
             continue
         params, _, meta = load_checkpoint(f)
-        seq.append((int(meta.get("iteration", int(stem))), params))
+        seq.append((meta["iteration"], params))
     return sorted(seq, key=lambda x: x[0])
 
 
@@ -267,7 +265,7 @@ def cmd_evaluate(args) -> int:
     report = compare(params, strategies, panel, cfg, curve=curve, record=True)
     write_utilities_csv(report, out / "utilities.csv")
     # The (paths, years) records are the largest arrays of the command;
-    # release them before the snapshot rollouts allocate theirs.
+    # release them before the checkpoint rollouts allocate theirs.
     for label in list(report.records):
         mp = median_paths(report.records.pop(label), cfg.retirement_age)
         write_medians_csv(mp, out / f"medians_{label}.csv")
@@ -278,8 +276,7 @@ def cmd_evaluate(args) -> int:
         rows = outperformance_curve(seq, strategies, panel, cfg, curve=curve,
                                     base_utilities=report.utilities)
     else:
-        it = int(meta.get("iteration", 0))
-        rows = [(it, k.value, report.outperformance[k.value])
+        rows = [(meta["iteration"], k.value, report.outperformance[k.value])
                 for k in strategies]
     write_outperformance_csv(rows, out / "outperformance.csv")
 

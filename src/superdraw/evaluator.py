@@ -122,30 +122,22 @@ def compare(params: MlpParams, strategies, panel: ScenarioPanel,
 
 
 def outperformance_curve(snapshots, strategies, panel: ScenarioPanel,
-                         cfg: TrainConfig,
-                         curve: SurvivalCurve | None = None,
-                         base_utilities: dict | None = None):
+                         cfg: TrainConfig, curve: SurvivalCurve,
+                         base_utilities: dict):
     """Win counts per training snapshot; rows of (iteration, label, count).
 
-    `snapshots` is a sequence of (iteration, MlpParams) in ascending order,
-    e.g. TrainReport.snapshots. `base_utilities`, if given, maps each
-    strategy label to its per-path utilities on this panel (such as
-    `compare(...).utilities`), which saves rolling the strategies out again.
+    `snapshots` is a sequence of (iteration, MlpParams) in ascending order.
+    `base_utilities` maps each strategy label to its per-path utilities on
+    this panel, such as `compare(...).utilities`.
     """
-    if curve is None:
-        curve = cfg.curve()
     iters = [it for it, _ in snapshots]
     if iters != sorted(iters):
         raise ConfigError("snapshots must be in ascending iteration order")
-    base = base_utilities
-    if base is None:
-        base = {k.value: rollout_strategy(k, panel, curve, cfg)[0]
-                for k in strategies}
     rows = []
     for it, params in snapshots:
         u_pol, _ = evaluate_policy(params, panel, curve, cfg)
         for kind in strategies:
-            count = int(np.sum(u_pol > base[kind.value]))
+            count = int(np.sum(u_pol > base_utilities[kind.value]))
             rows.append((it, kind.value, count))
     return rows
 

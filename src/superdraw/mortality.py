@@ -28,7 +28,6 @@ __all__ = [
     "projected_qx",
     "survival_curve",
     "life_expectancy",
-    "curve_to_csv",
 ]
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -167,12 +166,3 @@ def life_expectancy(table: LifeTable, gender: str, age: int) -> float:
     T = table.terminal_age + 1 - age
     curve = survival_curve(table, gender, age, T)
     return age + 0.5 + float(curve.tpx[1:].sum())
-
-
-def curve_to_csv(curve: SurvivalCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "age", "tpx", "dq"])
-        for t in range(len(curve.tpx)):
-            w.writerow([t, curve.x + t, f"{curve.tpx[t]:.12g}",
-                        f"{curve.dq[t]:.12g}"])

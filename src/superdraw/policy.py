@@ -19,7 +19,7 @@ activations it kept. There is no second, operator-by-operator version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +30,11 @@ from .errors import ConfigError, DataError, NumericError
 __all__ = [
     "MlpParams",
     "PolicyNorm",
-    "PolicyInput",
     "ForwardTape",
     "PARAM_FIELDS",
     "he_init",
     "lift",
     "policy_fraction",
-    "forward",
     "backward",
     "save_checkpoint",
     "load_checkpoint",
@@ -97,15 +95,6 @@ class PolicyNorm:
     def __post_init__(self):
         if self.horizon <= 0 or self.wealth_scale <= 0:
             raise ConfigError("normalization constants must be positive")
-
-
-@dataclass(frozen=True)
-class PolicyInput:
-    t: float
-    W: float
-    R: float
-    Q: float
-    norm: PolicyNorm = field(default_factory=PolicyNorm)
 
 
 def he_init(k1: int = 20, k2: int = 20, k3: int = 20,
@@ -197,25 +186,9 @@ class ForwardTape:
     params: dict
 
 
-def forward(params: MlpParams, inp: PolicyInput, w_plus_a: float):
-    """Consumption for a single state; returns (consumption, tape)."""
-    if w_plus_a < 0:
-        raise ConfigError("W + A must be non-negative")
-    p = lift(params)
-    ones = np.ones(1)
-    x = normalized_inputs(inp.t * ones, Tensor(inp.W * ones), inp.R * ones,
-                          inp.Q * ones, inp.norm)
-    frac = policy_fraction(p, x)
-    c = frac * w_plus_a
-    if not np.all(np.isfinite(c.value)):
-        raise NumericError("non-finite network output")
-    return float(c.value[0]), ForwardTape(output=c, params=p)
-
-
-def backward(tape: ForwardTape, output_gradient: float = 1.0) -> MlpParams:
+def backward(tape: ForwardTape) -> MlpParams:
     """Parameter gradients of the recorded output; MlpParams-shaped."""
-    tape.output.backward(seed=np.full_like(tape.output.value,
-                                           output_gradient))
+    tape.output.backward()
     grads = {}
     for name, leaf in tape.params.items():
         grads[name] = (np.zeros_like(leaf.value) if leaf.grad is None

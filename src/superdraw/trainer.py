@@ -74,9 +74,6 @@ class TrainConfig:
     log_every: int = 100
     checkpoint_every: int = 0
     checkpoint_dir: str | None = None
-    snapshot_every: int = 0       # keep in-memory parameter copies
-    tail_average: int = 0         # average the last N iterates if > 0
-    initial_state: EconState | None = None  # None: from bundled history
     life_table_path: str | None = None      # None: bundled table
 
     def __post_init__(self):
@@ -108,8 +105,6 @@ class TrainConfig:
                               self.horizon)
 
     def initial_econ_state(self) -> EconState:
-        if self.initial_state is not None:
-            return self.initial_state
         history = esg_mod.load_history(esg_mod.bundled_history_path())
         return esg_mod.initial_state_from_history(history)
 
@@ -121,7 +116,7 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Logged rows and snapshots of one training run.
+    """Logged rows of one training run.
 
     Each row is (iter, objective, wallclock_ms, forward_ms, backward_ms,
     adam_ms): the objective of the logged iteration, milliseconds since the
@@ -131,7 +126,6 @@ class TrainReport:
     """
 
     rows: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)  # (iter, MlpParams)
     aborted: bool = False
 
     def to_csv(self, path) -> None:
@@ -299,8 +293,11 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
     cfg.seed, the initialization from cfg.seed + 1, and the batch schedule
     from cfg.seed + 2. Pass `panel` to reuse a pre-simulated training panel
     (it must match cfg.m_train and cfg.horizon). `progress`, if given, is
-    called with (iteration, objective) at the logging cadence. A non-finite
-    step raises `TrainingAborted`, which carries the rows logged before it.
+    called with (iteration, objective) at the logging cadence. With
+    `cfg.checkpoint_dir` set, numbered checkpoints are written at iteration
+    0, every `checkpoint_every` iterations and at the last one, which
+    `checkpoint_final.npz` repeats. A non-finite step raises
+    `TrainingAborted`, which carries the rows logged before it.
     """
     curve = cfg.curve()
     if panel is None:
@@ -316,11 +313,7 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(ckpt_dir / "checkpoint_000000.npz", params,
                         cfg.norm(), iteration=0)
-    if cfg.snapshot_every > 0:
-        report.snapshots.append((0, params.copy()))
 
-    tail_sum = None
-    tail_count = 0
     phase_ms = np.zeros(3)        # forward, backward, adam since last row
     t_start = time.perf_counter()
     for it in range(1, cfg.iterations + 1):
@@ -356,28 +349,17 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
         phase_ms += np.array([t1 - t0, t2 - t1, time.perf_counter() - t2]) \
             * 1e3
 
-        if cfg.tail_average > 0 and it > cfg.iterations - cfg.tail_average:
-            if tail_sum is None:
-                tail_sum = params.map(np.copy)
-            else:
-                for n in PARAM_FIELDS:
-                    getattr(tail_sum, n)[...] += getattr(params, n)
-            tail_count += 1
         if it % max(cfg.log_every, 1) == 0 or it == cfg.iterations:
             ms = (time.perf_counter() - t_start) * 1e3
             report.rows.append((it, value, ms, *phase_ms.tolist()))
             phase_ms[:] = 0.0
             if progress is not None:
                 progress(it, value)
-        if cfg.snapshot_every > 0 and it % cfg.snapshot_every == 0:
-            report.snapshots.append((it, params.copy()))
-        if ckpt_dir and cfg.checkpoint_every > 0 and \
-                it % cfg.checkpoint_every == 0:
+        if ckpt_dir and (it == cfg.iterations or cfg.checkpoint_every > 0
+                         and it % cfg.checkpoint_every == 0):
             save_checkpoint(ckpt_dir / f"checkpoint_{it:06d}.npz", params,
                             cfg.norm(), iteration=it)
 
-    if tail_count > 0:
-        params = tail_sum.map(lambda a: a / tail_count)
     if ckpt_dir:
         save_checkpoint(ckpt_dir / "checkpoint_final.npz", params,
                         cfg.norm(), iteration=cfg.iterations)

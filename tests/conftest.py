@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import superdraw
 from superdraw import esg
+
+# Command tests run `python -m superdraw.cli` in a subprocess; it imports the
+# same package as the tests, installed or from a checkout's src/.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(superdraw.__file__).resolve().parents[1]),
+    os.environ.get("PYTHONPATH")]))
 
 
 def history_from_factors(year0, q, S, e, n, b, o, h):

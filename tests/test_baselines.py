@@ -6,9 +6,8 @@ import pytest
 from oracles import straight_line_objective
 from superdraw.baselines import (REAL_TARGETS, StrategyKind,
                                  deterministic_consumption,
-                                 minimum_drawdown_rate, rollout_deterministic,
-                                 rollout_strategy, rule_of_thumb_rate,
-                                 strategy_consumer)
+                                 minimum_drawdown_rate, rollout_strategy,
+                                 rule_of_thumb_rate, strategy_consumer)
 from superdraw.errors import ConfigError
 from superdraw.esg import ScenarioPanel
 from superdraw.trainer import rollout_consume
@@ -21,7 +20,6 @@ def flat_panel(M, T):
     cols = {n: np.zeros((M, T + 1))
             for n in ("q", "s", "e", "n", "b", "o", "h", "R")}
     return ScenarioPanel(M=M, T=T, Q=np.ones((M, T + 1)), **cols)
-
 
 # ----------------------------------------------------------------- the rules
 
@@ -116,15 +114,15 @@ def test_rollout_matches_straight_line_oracle():
     for kind in (StrategyKind.MINIMUM, StrategyKind.FOUR_PERCENT,
                  StrategyKind.LUXURY):
         for m in range(panel.M):
-            c_real, w_real, utility = rollout_deterministic(
-                kind, panel, m, cfg, curve=curve)
+            total, rec = rollout_strategy(kind, panel.take([m]), curve, cfg,
+                                          record=True)
             want = straight_line_objective(
                 scalar_rule(kind, panel.q[m]), cfg.w0, cfg.pension,
                 cfg.account, cfg.effective_utility(), curve,
                 panel.R[m], panel.q[m])
-            assert utility == pytest.approx(want, rel=1e-12)
-            assert c_real.shape == (cfg.horizon + 1,)
-            assert np.all(w_real >= 0.0)
+            assert total[0] == pytest.approx(want, rel=1e-12)
+            assert rec.consumption[0].shape == (cfg.horizon + 1,)
+            assert np.all(rec.wealth[0] >= 0.0)
 
 
 def test_injected_rule_reproduces_deterministic_rollout():
@@ -146,17 +144,18 @@ def test_minimum_wealth_strictly_decreasing_flat_world():
     cfg = small_config(horizon=10)
     curve = cfg.curve()
     panel = flat_panel(1, cfg.horizon)
-    _, w_real, _ = rollout_deterministic(StrategyKind.MINIMUM, panel, 0, cfg,
-                                         curve=curve)
-    assert np.all(np.diff(w_real) < 0.0)
+    _, rec = rollout_strategy(StrategyKind.MINIMUM, panel, curve, cfg,
+                              record=True)
+    assert np.all(np.diff(rec.wealth[0]) < 0.0)
 
 
 def test_four_percent_real_component_constant():
     cfg = small_config(horizon=8)
     curve = cfg.curve()
     panel = synthetic_panel(1, cfg.horizon, seed=41, r_scale=0.0)
-    c_real, w_real, _ = rollout_deterministic(StrategyKind.FOUR_PERCENT,
-                                              panel, 0, cfg, curve=curve)
+    _, rec = rollout_strategy(StrategyKind.FOUR_PERCENT, panel, curve, cfg,
+                              record=True)
+    c_real, w_real = rec.consumption[0], rec.wealth[0]
     pension_real = c_real - 0.04 * cfg.w0
     # wealth never depletes here, so the wealth-funded slice is exactly
     # a real 20k per year on a 500k balance
@@ -179,13 +178,12 @@ def test_luxury_depletes_then_runs_on_pension():
     cfg = small_config(horizon=15, w0=200_000.0)
     curve = cfg.curve()
     panel = flat_panel(1, cfg.horizon)
-    c_real, w_real, _ = rollout_deterministic(StrategyKind.LUXURY, panel, 0,
-                                              cfg, curve=curve)
+    _, rec = rollout_strategy(StrategyKind.LUXURY, panel, curve, cfg,
+                              record=True)
+    c_real, w_real = rec.consumption[0], rec.wealth[0]
     assert w_real[-1] == 0.0
     depleted = np.where(w_real == 0.0)[0]
     t0 = depleted[0]
     # after depletion, consumption equals the pension alone
-    rec_pension = rollout_strategy(StrategyKind.LUXURY, panel, curve, cfg,
-                                   record=True)[1].pension[0]
-    assert np.allclose(c_real[t0:], rec_pension[t0:])
+    assert np.allclose(c_real[t0:], rec.pension[0][t0:])
     assert np.all(c_real[t0:] < REAL_TARGETS[StrategyKind.LUXURY])

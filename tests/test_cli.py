@@ -28,7 +28,6 @@ batch_size = 32
 horizon = 8
 seed = 5
 log_every = 10
-snapshot_every = 10
 """
 
 
@@ -208,9 +207,11 @@ def test_evaluate_outputs(trained_run, tmp_path, capsys):
     assert "mean realized utility" in printed
     with open(out / "outperformance.csv") as fh:
         orows = list(csv.DictReader(fh))
-    # snapshots at 0, 10, 20 plus the final numbered checkpoint
+    # numbered checkpoints at 0 and at the last iteration, 25; the cadence
+    # is 5 x log_every = 50
     iters = sorted({int(r["iter"]) for r in orows})
     assert iters[0] == 0 and len(orows) == len(iters) * 6
+    assert iters[-1] == 25
 
 
 def test_evaluate_single_file_checkpoint(trained_run, tmp_path):
@@ -273,6 +274,12 @@ def test_demo_path_deterministic_and_bounded(trained_run, tmp_path):
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfgp = write_config(tmp_path / "cfg.ini", "[train]\nm_trian = 10\n")
     assert run(["train", "--config", cfgp, "--out", tmp_path]) == 2
+    # keys of removed training options
+    for key in ("snapshot_every", "tail_average"):
+        cfgp = write_config(tmp_path / "old.ini", f"[train]\n{key} = 10\n")
+        assert run(["train", "--config", cfgp, "--out", tmp_path]) == 2
+        assert f"unknown key '{key}' in section [train]" in \
+            capsys.readouterr().err
     cfgp = write_config(tmp_path / "esg.ini", "[esg]\nfoo = 1\n")
     assert run(["train", "--config", cfgp, "--out", tmp_path]) == 2
     assert "unknown key 'foo' in section [esg]" in capsys.readouterr().err

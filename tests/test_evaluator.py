@@ -56,8 +56,10 @@ def test_outperformance_curve_orders_and_counts():
     cfg = small_config(horizon=8)
     panel = synthetic_panel(40, cfg.horizon, seed=6)
     snaps = [(0, he_init(seed=3)), (10, he_init(seed=9))]
-    rows = outperformance_curve(snaps, [StrategyKind.LUXURY,
-                                        StrategyKind.MODEST], panel, cfg)
+    kinds = [StrategyKind.LUXURY, StrategyKind.MODEST]
+    curve = cfg.curve()
+    base = compare(snaps[0][1], kinds, panel, cfg, curve=curve).utilities
+    rows = outperformance_curve(snaps, kinds, panel, cfg, curve, base)
     assert [(r[0], r[1]) for r in rows] == [
         (0, "luxury"), (0, "modest"), (10, "luxury"), (10, "modest")]
     assert all(0 <= r[2] <= 40 for r in rows)
@@ -66,7 +68,7 @@ def test_outperformance_curve_orders_and_counts():
     assert min(first) < 40
     with pytest.raises(ConfigError):
         outperformance_curve(list(reversed(snaps)), [StrategyKind.MODEST],
-                             panel, cfg)
+                             panel, cfg, curve, base)
 
 
 def test_outperformance_curve_reuses_baseline_utilities(monkeypatch):
@@ -74,8 +76,11 @@ def test_outperformance_curve_reuses_baseline_utilities(monkeypatch):
     panel = synthetic_panel(40, cfg.horizon, seed=6)
     snaps = [(0, he_init(seed=3)), (10, he_init(seed=9))]
     kinds = [StrategyKind.LUXURY, StrategyKind.MODEST]
-    want = outperformance_curve(snaps, kinds, panel, cfg)
-    report = compare(snaps[-1][1], kinds, panel, cfg)
+    curve = cfg.curve()
+    # Each snapshot's counts as `compare` reports them for that policy.
+    want = [(it, k.value, compare(params, kinds, panel, cfg, curve=curve)
+             .outperformance[k.value]) for it, params in snaps for k in kinds]
+    report = compare(snaps[-1][1], kinds, panel, cfg, curve=curve)
     rolled = []
     real = evaluator.rollout_strategy
 
@@ -84,8 +89,8 @@ def test_outperformance_curve_reuses_baseline_utilities(monkeypatch):
         return real(kind, *args, **kwargs)
 
     monkeypatch.setattr(evaluator, "rollout_strategy", counted)
-    assert outperformance_curve(snaps, kinds, panel, cfg,
-                                base_utilities=report.utilities) == want
+    assert outperformance_curve(snaps, kinds, panel, cfg, curve,
+                                report.utilities) == want
     assert rolled == []
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from superdraw import mortality
 from superdraw.errors import DataError
 from superdraw.mortality import (LifeTable, life_expectancy, load_life_table,
                                  projected_qx, survival_curve)
@@ -146,15 +145,3 @@ def test_load_life_table_errors(tmp_path):
     p.write_text("age,male_qx\n65,0.01\n")
     with pytest.raises(DataError, match="header"):
         load_life_table(p)
-
-
-def test_curve_csv_export(table, tmp_path):
-    c = survival_curve(table, "male", 67, 5)
-    out = tmp_path / "curve.csv"
-    mortality.curve_to_csv(c, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,age,tpx,dq"
-    assert len(lines) == 7
-    t1 = lines[2].split(",")
-    assert int(t1[1]) == 68
-    assert float(t1[2]) == pytest.approx(c.tpx[1])

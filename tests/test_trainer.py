@@ -311,13 +311,17 @@ def test_checkpoint_cadence_and_final_state(tmp_path):
     assert norm.wealth_scale == cfg.w0
 
 
-def test_snapshots_and_tail_average():
-    cfg = small_config(iterations=6, snapshot_every=3, tail_average=2)
-    params, report = train(cfg)
-    assert [s[0] for s in report.snapshots] == [0, 3, 6]
-    # Tail averaging returns the mean of the last two iterates, which is
-    # not any single snapshot.
-    assert not params.allclose(report.snapshots[-1][1])
+def test_last_iteration_gets_a_numbered_checkpoint(tmp_path):
+    # 3 iterations at a cadence of 2: the trained policy is numbered too,
+    # and the final checkpoint is the same file.
+    cfg = small_config(iterations=3, checkpoint_every=2,
+                       checkpoint_dir=str(tmp_path))
+    train(cfg)
+    names = sorted(p.name for p in tmp_path.glob("*.npz"))
+    assert names == ["checkpoint_000000.npz", "checkpoint_000002.npz",
+                     "checkpoint_000003.npz", "checkpoint_final.npz"]
+    assert (tmp_path / "checkpoint_000003.npz").read_bytes() == \
+        (tmp_path / "checkpoint_final.npz").read_bytes()
 
 
 def test_train_rejects_mismatched_panel():
