@@ -274,7 +274,8 @@ def cmd_evaluate(args) -> int:
     if ckpt_path.is_dir():
         seq = _checkpoint_sequence(ckpt_path)
         rows = outperformance_curve(seq, strategies, panel, cfg, curve=curve,
-                                    base_utilities=report.utilities)
+                                    base_utilities=report.utilities,
+                                    policy=params)
     else:
         rows = [(meta["iteration"], k.value, report.outperformance[k.value])
                 for k in strategies]

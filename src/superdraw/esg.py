@@ -274,28 +274,42 @@ def portfolio_return(state: EconState, omega: float) -> float:
     return omega * growth + (1.0 - omega) * defensive
 
 
-def _path_shocks(params: EsgParams, seed: int, m: int, T: int) -> np.ndarray:
-    # One counter-based stream per path, keyed by (seed, path index), so the
-    # panel is identical no matter how paths are batched or ordered.
-    bits = np.random.Philox(key=np.array([seed & _MASK64, m], dtype=np.uint64))
-    z = np.random.Generator(bits).standard_normal((T, 7))
-    sig = np.array([params.sigma_q, params.sigma_S, params.sigma_e,
-                    params.sigma_n, params.sigma_b, params.sigma_o,
-                    params.sigma_h])
-    return z * sig
+def _path_shocks(params: EsgParams, seed: int, M: int, T: int) -> np.ndarray:
+    """Scaled shocks of paths 0..M-1, shape (M, T, 7), in cascade order.
+
+    Path m is the Philox stream keyed [seed, m] from counter 0. Philox is
+    counter-based, so one bit generator whose key and counter are reset
+    for each path draws exactly what a fresh generator per path would.
+    """
+    bits = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state                 # counter 0, empty output buffer
+    key = state["state"]["key"]
+    eps = np.empty((M, T, 7))
+    for m in range(M):
+        key[1] = m
+        bits.state = state
+        gen.standard_normal(out=eps[m])
+    eps *= np.array([params.sigma_q, params.sigma_S, params.sigma_e,
+                     params.sigma_n, params.sigma_b, params.sigma_o,
+                     params.sigma_h])
+    return eps
 
 
 def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
              omega: float = 0.7, max_cells: int = 200_000_000) -> ScenarioPanel:
-    """Simulate M paths over T years from the given initial state."""
+    """Simulate M paths over T years from the given initial state.
+
+    Path m's shocks are the Philox stream keyed [seed, m] from counter 0,
+    drawn as T rows of seven standard normals (q, S, e, n, b, o, h) and
+    scaled by the sigmas; a path is the same in a panel of any size M.
+    """
     if M < 1 or T < 1:
         raise ConfigError("M and T must be at least 1")
     if M * (T + 1) * 9 > max_cells:
         raise ConfigError(f"panel of {M}x{T + 1} exceeds the cell budget "
                           f"({max_cells}); raise max_cells to override")
-    eps = np.empty((M, T, 7))
-    for m in range(M):
-        eps[m] = _path_shocks(params, seed, m, T)
+    eps = _path_shocks(params, seed, M, T)
 
     cols = {k: np.empty((M, T + 1)) for k in _FACTORS}
     for k in _FACTORS:

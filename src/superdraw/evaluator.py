@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 POLICY_LABEL = "policy"
+# Grid rows per kernel block in `kde`: a block's (rows, samples) kernel
+# matrix stays cache-sized, and each row is still summed on its own.
+KDE_BLOCK_ROWS = 16
 
 
 @dataclass
@@ -123,19 +126,24 @@ def compare(params: MlpParams, strategies, panel: ScenarioPanel,
 
 def outperformance_curve(snapshots, strategies, panel: ScenarioPanel,
                          cfg: TrainConfig, curve: SurvivalCurve,
-                         base_utilities: dict):
+                         base_utilities: dict, policy: MlpParams):
     """Win counts per training snapshot; rows of (iteration, label, count).
 
     `snapshots` is a sequence of (iteration, MlpParams) in ascending order.
     `base_utilities` maps each strategy label to its per-path utilities on
-    this panel, such as `compare(...).utilities`.
+    this panel, and `POLICY_LABEL` to those of the weights `policy`, as
+    `compare(policy, ...).utilities` does. A snapshot whose weights equal
+    `policy` reuses those utilities instead of being rolled out again.
     """
     iters = [it for it, _ in snapshots]
     if iters != sorted(iters):
         raise ConfigError("snapshots must be in ascending iteration order")
     rows = []
     for it, params in snapshots:
-        u_pol, _ = evaluate_policy(params, panel, curve, cfg)
+        if params.allclose(policy, rtol=0, atol=0):
+            u_pol = base_utilities[POLICY_LABEL]
+        else:
+            u_pol, _ = evaluate_policy(params, panel, curve, cfg)
         for kind in strategies:
             count = int(np.sum(u_pol > base_utilities[kind.value]))
             rows.append((it, kind.value, count))
@@ -173,9 +181,11 @@ def kde(samples: np.ndarray, grid: np.ndarray | None = None,
         bw = max(abs(float(x[0])), 1.0) * 1e-9
     if grid is None:
         grid = np.linspace(x.min() - 3.0 * bw, x.max() + 3.0 * bw, n_grid)
-    z = (grid[:, None] - x[None, :]) / bw
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (len(x) * bw *
-                                                  np.sqrt(2.0 * np.pi))
+    sums = np.empty(len(grid))
+    for i in range(0, len(grid), KDE_BLOCK_ROWS):
+        z = (grid[i:i + KDE_BLOCK_ROWS, None] - x[None, :]) / bw
+        sums[i:i + KDE_BLOCK_ROWS] = np.exp(-0.5 * z * z).sum(axis=1)
+    density = sums / (len(x) * bw * np.sqrt(2.0 * np.pi))
     return grid, density
 
 

@@ -119,13 +119,11 @@ def lift(params: MlpParams) -> dict:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # Two-sided form avoids overflow in exp for large |v|.
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # Two-sided form avoids overflow in exp for large |v|: 1 / (1 + e^-v)
+    # for v >= 0 and e^v / (1 + e^v) below, with e = e^-|v| in both.
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 def policy_fraction(p, x):

@@ -168,19 +168,21 @@ def policy_consumer(p, norm: PolicyNorm):
     return consume
 
 
-def _rollout_engine(consume, panel: ScenarioPanel, curve: SurvivalCurve,
-                    cfg: TrainConfig, record: bool = False):
-    """Apply the yearly loop to all paths of `panel` at once.
+def _rollout_engine(consume, R: np.ndarray, Q: np.ndarray,
+                    curve: SurvivalCurve, cfg: TrainConfig,
+                    record: bool = False):
+    """Apply the yearly loop to all paths at once.
 
-    Returns (per-path lifetime utilities, PathRecords or None). When
-    `consume` returns Tensors the utilities come back as a Tensor of shape
-    (paths,) on a live tape; record mode requires plain numpy.
+    `R` and `Q` are the (paths, T+1) return and deflator columns of a
+    scenario panel, the only columns the loop reads. Returns (per-path
+    lifetime utilities, PathRecords or None). When `consume` returns
+    Tensors the utilities come back as a Tensor of shape (paths,) on a live
+    tape; record mode requires plain numpy.
     """
-    T = panel.T
+    B, T = R.shape[0], R.shape[1] - 1
     if curve.horizon != T:
         raise ConfigError(f"survival horizon {curve.horizon} != panel {T}")
     uparams = cfg.effective_utility()
-    B = panel.M
     # Both start as data; on a tape they join it through the first
     # consumption, which depends on the network weights.
     W = np.full(B, cfg.w0)
@@ -191,9 +193,9 @@ def _rollout_engine(consume, panel: ScenarioPanel, curve: SurvivalCurve,
                           wealth=np.empty((B, T + 1)),
                           pension=np.empty((B, T + 1)))
     for t in range(T + 1):
-        Qt = panel.Q[:, t]
+        Qt = Q[:, t]
         A = age_pension(W, Qt, cfg.pension)
-        C = consume(t, W, A, panel.R[:, t], Qt)
+        C = consume(t, W, A, R[:, t], Qt)
         inv_q = 1.0 / Qt
         total = total + curve.tpx[t] * consumption_utility(C * inv_q, uparams)
         if uparams.phi > 0.0 and t >= 1:
@@ -204,7 +206,7 @@ def _rollout_engine(consume, panel: ScenarioPanel, curve: SurvivalCurve,
             rec.pension[:, t] = np.asarray(A) * inv_q
         if t < T:
             fee = fees(W, Qt, cfg.account)
-            W = transition_balance(W, A, C, fee, panel.R[:, t + 1])
+            W = transition_balance(W, A, C, fee, R[:, t + 1])
             if not np.all(np.isfinite(value_of(W))):
                 raise NumericError(f"non-finite wealth after year t={t}")
     return total, rec
@@ -213,7 +215,8 @@ def _rollout_engine(consume, panel: ScenarioPanel, curve: SurvivalCurve,
 def rollout_consume(consume, panel: ScenarioPanel, curve: SurvivalCurve,
                     cfg: TrainConfig, record: bool = False):
     """Numpy-mode rollout of an arbitrary consumption rule over a panel."""
-    return _rollout_engine(consume, panel, curve, cfg, record=record)
+    return _rollout_engine(consume, panel.R, panel.Q, curve, cfg,
+                           record=record)
 
 
 def rollout(params: MlpParams, panel: ScenarioPanel, m: int,
@@ -227,16 +230,17 @@ def rollout(params: MlpParams, panel: ScenarioPanel, m: int,
         curve = cfg.curve()
     p = lift(params)
     total, _ = _rollout_engine(policy_consumer(p, cfg.norm()),
-                               panel.take([m]), curve, cfg)
+                               panel.R[[m]], panel.Q[[m]], curve, cfg)
     obj = total.sum()
     return float(obj.value), ForwardTape(output=obj, params=p)
 
 
-def batch_objective(params: MlpParams, panel: ScenarioPanel,
+def batch_objective(params: MlpParams, R: np.ndarray, Q: np.ndarray,
                     curve: SurvivalCurve, cfg: TrainConfig):
-    """Mean per-path objective over a (sub-)panel, on a live tape."""
+    """Mean per-path objective over the rows of the panel columns R and Q,
+    on a live tape."""
     p = lift(params)
-    total, _ = _rollout_engine(policy_consumer(p, cfg.norm()), panel, curve,
+    total, _ = _rollout_engine(policy_consumer(p, cfg.norm()), R, Q, curve,
                                cfg)
     return total.mean(), p
 
@@ -318,17 +322,16 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
     t_start = time.perf_counter()
     for it in range(1, cfg.iterations + 1):
         t0 = time.perf_counter()
+        R, Q = panel.R, panel.Q
         if cfg.batch_size < cfg.m_train:
             idx = batch_rng.choice(cfg.m_train, size=cfg.batch_size,
                                    replace=False)
-            sub = panel.take(idx)
-        else:
-            sub = panel
+            R, Q = R[idx], Q[idx]
         # Any non-finite wealth, objective, gradient or update ends the run
         # with the last good weights on disk. MlpParams rejects non-finite
         # entries, which covers the gradient and the Adam update.
         try:
-            obj, p = batch_objective(params, sub, curve, cfg)
+            obj, p = batch_objective(params, R, Q, curve, cfg)
             value = float(obj.value)
             if not np.isfinite(value):
                 raise NumericError("objective diverged")

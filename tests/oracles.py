@@ -67,3 +67,31 @@ def straight_line_objective(consumptions, W0, pension_params, account_params,
             W = balance * np.exp(returns[t + 1])
             Q = Q * np.exp(inflations[t + 1])
     return total
+
+
+def path_shocks_oracle(params, seed, m, T):
+    """Scaled (T, 7) shocks of path m from a fresh Philox keyed [seed, m]."""
+    bits = np.random.Philox(key=np.array([seed & ((1 << 64) - 1), m],
+                                         dtype=np.uint64))
+    z = np.random.Generator(bits).standard_normal((T, 7))
+    sig = np.array([params.sigma_q, params.sigma_S, params.sigma_e,
+                    params.sigma_n, params.sigma_b, params.sigma_o,
+                    params.sigma_h])
+    return z * sig
+
+
+def kde_oracle(x, grid, bw):
+    """Gaussian KDE on the grid as one (grid, samples) kernel matrix."""
+    z = (grid[:, None] - x[None, :]) / bw
+    return np.exp(-0.5 * z * z).sum(axis=1) / (len(x) * bw *
+                                               np.sqrt(2.0 * np.pi))
+
+
+def sigmoid_oracle(v):
+    """Two-sided logistic function, each side gathered through a mask."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out

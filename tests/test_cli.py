@@ -151,8 +151,8 @@ def test_train_abort_keeps_report_rows(tmp_path, monkeypatch, capsys):
     real = trainer.batch_objective
     calls = []
 
-    def poisoned(params, panel, curve, cfg):
-        obj, p = real(params, panel, curve, cfg)
+    def poisoned(params, R, Q, curve, cfg):
+        obj, p = real(params, R, Q, curve, cfg)
         calls.append(1)
         if len(calls) == 4:
             p["w3"].grad = np.full_like(p["w3"].value, np.nan)
@@ -230,6 +230,79 @@ def test_evaluate_rejects_training_seed(trained_run, tmp_path):
     assert run(["evaluate", "--config", cfgp,
                 "--checkpoint", run_dir / "checkpoints",
                 "--m-test", 10, "--seed", 5, "--out", tmp_path]) == 2
+
+
+def _recount_outperformance(cfgp, ckpt_dir, m_test, seed):
+    """(iter, strategy, count) rows from a fresh `compare` per snapshot."""
+    from superdraw import esg
+    from superdraw.baselines import StrategyKind
+    from superdraw.cli import _read_ini, build_train_config
+    from superdraw.evaluator import compare
+    from superdraw.policy import load_checkpoint
+    cfg = build_train_config(_read_ini(cfgp))
+    panel = esg.simulate(cfg.esg, cfg.initial_econ_state(), m_test,
+                         cfg.horizon, seed=seed, omega=cfg.account.omega)
+    rows = []
+    for f in sorted(ckpt_dir.glob("checkpoint_0*.npz")):
+        params, _, meta = load_checkpoint(f)
+        report = compare(params, list(StrategyKind), panel, cfg)
+        rows += [(meta["iteration"], k.value, report.outperformance[k.value])
+                 for k in StrategyKind]
+    return rows
+
+
+def _evaluate_counting_rollouts(tmp_path, monkeypatch, final_is_last):
+    """Evaluate a five-snapshot directory; returns each rollout's path count.
+
+    Numbered checkpoints are 0, 10, 20, 30 and 40. Unless `final_is_last`,
+    `checkpoint_final.npz` is replaced by weights equal to none of them.
+    The written curve must match a fresh `compare` per snapshot.
+    """
+    from superdraw import trainer
+    from superdraw.policy import load_checkpoint, perturb, save_checkpoint
+    cfgp = write_config(tmp_path / "cfg.ini", TINY_TRAIN.replace(
+        "iterations = 25", "iterations = 40\ncheckpoint_every = 10"))
+    assert run(["train", "--config", cfgp, "--out", tmp_path / "run"]) == 0
+    ckpts = tmp_path / "run" / "checkpoints"
+    final = ckpts / "checkpoint_final.npz"
+    assert final.read_bytes() == \
+        (ckpts / "checkpoint_000040.npz").read_bytes()
+    if not final_is_last:
+        params, norm, meta = load_checkpoint(final)
+        save_checkpoint(final, perturb(params, "b3", 0, 0, 1e-3), norm,
+                        iteration=meta["iteration"])
+
+    real = trainer._rollout_engine
+    rolled = []
+
+    def counted(consume, R, Q, *args, **kwargs):
+        rolled.append(len(R))
+        return real(consume, R, Q, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_rollout_engine", counted)
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--config", cfgp, "--checkpoint", ckpts,
+                "--m-test", 30, "--seed", 99, "--out", out]) == 0
+    monkeypatch.undo()
+    with open(out / "outperformance.csv") as fh:
+        rows = [(int(r["iter"]), r["strategy"], int(r["count"]))
+                for r in csv.DictReader(fh)]
+    assert [r[0] for r in rows[::6]] == [0, 10, 20, 30, 40]
+    assert rows == _recount_outperformance(cfgp, ckpts, 30, 99)
+    return rolled
+
+
+def test_evaluate_directory_rolls_final_policy_once(tmp_path, monkeypatch):
+    # `compare` rolls the final policy and the six baselines; the last
+    # numbered snapshot equals the final policy and reuses its utilities.
+    rolled = _evaluate_counting_rollouts(tmp_path, monkeypatch, True)
+    assert rolled == [30] * 11
+
+
+def test_evaluate_directory_rolls_every_snapshot_unlike_final(tmp_path,
+                                                             monkeypatch):
+    rolled = _evaluate_counting_rollouts(tmp_path, monkeypatch, False)
+    assert rolled == [30] * 12
 
 
 @pytest.mark.parametrize("command", ["evaluate", "demo-path"])

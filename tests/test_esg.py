@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import history_from_factors, history_from_panel
+from oracles import path_shocks_oracle
 from superdraw import esg
 from superdraw.errors import ConfigError, DataError, NumericError
 from superdraw.esg import (DEFAULT_PARAMS, EconState, EsgParams, ShockVector,
@@ -115,13 +116,29 @@ def test_simulate_per_path_streams_are_order_independent():
     assert np.array_equal(small.e, big.e[:3])
 
 
+@pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
+@pytest.mark.parametrize("T", [1, 41])
+def test_simulate_shocks_match_per_path_philox(seed, T):
+    # One rewound generator per panel draws what a fresh Philox keyed
+    # [seed, m] draws for each path, bit for bit, at every panel size.
+    panels = {M: esg._path_shocks(DEFAULT_PARAMS, seed, M, T)
+              for M in (1, 7, 300)}
+    for M, eps in panels.items():
+        assert eps.shape == (M, T, 7)
+        want = np.stack([path_shocks_oracle(DEFAULT_PARAMS, seed, m, T)
+                         for m in range(M)])
+        assert eps.tobytes() == want.tobytes()
+    assert panels[1].tobytes() == panels[300][:1].tobytes()
+    assert panels[7].tobytes() == panels[300][:7].tobytes()
+
+
 def test_simulate_matches_step_esg():
     init = esg.stationary_state(DEFAULT_PARAMS)
     panel = esg.simulate(DEFAULT_PARAMS, init, M=2, T=4, seed=11)
     m = 1
     state = init
     for t in range(1, 5):
-        eps = esg._path_shocks(DEFAULT_PARAMS, 11, m, 4)[t - 1]
+        eps = esg._path_shocks(DEFAULT_PARAMS, 11, 2, 4)[m, t - 1]
         state = step_esg(DEFAULT_PARAMS, state, ShockVector(*eps))
         assert panel.q[m, t] == pytest.approx(state.q, abs=1e-14)
         assert panel.h[m, t] == pytest.approx(state.h, abs=1e-14)
@@ -315,7 +332,7 @@ def test_residuals_recover_simulated_shocks():
     panel = esg.simulate(DEFAULT_PARAMS, init, M=1, T=T, seed=seed)
     _, res = esg.residual_diagnostics(history_from_panel(panel),
                                       DEFAULT_PARAMS)
-    shocks = esg._path_shocks(DEFAULT_PARAMS, seed, 0, T)[1:]
+    shocks = esg._path_shocks(DEFAULT_PARAMS, seed, 1, T)[0, 1:]
     for i, k in enumerate(("q", "S", "e", "n", "b", "o", "h")):
         assert np.max(np.abs(res[k] - shocks[:, i])) < 1e-12, k
 

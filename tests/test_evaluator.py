@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from oracles import kde_oracle
 from superdraw import evaluator
 from superdraw.baselines import StrategyKind, strategy_consumer
 from superdraw.errors import ConfigError
@@ -59,7 +60,8 @@ def test_outperformance_curve_orders_and_counts():
     kinds = [StrategyKind.LUXURY, StrategyKind.MODEST]
     curve = cfg.curve()
     base = compare(snaps[0][1], kinds, panel, cfg, curve=curve).utilities
-    rows = outperformance_curve(snaps, kinds, panel, cfg, curve, base)
+    rows = outperformance_curve(snaps, kinds, panel, cfg, curve, base,
+                                snaps[0][1])
     assert [(r[0], r[1]) for r in rows] == [
         (0, "luxury"), (0, "modest"), (10, "luxury"), (10, "modest")]
     assert all(0 <= r[2] <= 40 for r in rows)
@@ -68,7 +70,7 @@ def test_outperformance_curve_orders_and_counts():
     assert min(first) < 40
     with pytest.raises(ConfigError):
         outperformance_curve(list(reversed(snaps)), [StrategyKind.MODEST],
-                             panel, cfg, curve, base)
+                             panel, cfg, curve, base, snaps[0][1])
 
 
 def test_outperformance_curve_reuses_baseline_utilities(monkeypatch):
@@ -90,7 +92,7 @@ def test_outperformance_curve_reuses_baseline_utilities(monkeypatch):
 
     monkeypatch.setattr(evaluator, "rollout_strategy", counted)
     assert outperformance_curve(snaps, kinds, panel, cfg, curve,
-                                report.utilities) == want
+                                report.utilities, snaps[-1][1]) == want
     assert rolled == []
 
 
@@ -115,6 +117,27 @@ def test_kde_degenerate_sample_is_spike_at_value():
     grid, density = kde(np.full(50, 3.25))
     assert grid[np.argmax(density)] == pytest.approx(3.25, abs=1e-6)
     assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("n_grid", [1, 15, 16, 17, 256])
+def test_kde_blocks_equal_one_kernel_matrix(n_grid):
+    x = np.random.default_rng(4).standard_normal(3_000) * 2.0 + 1.0
+    grid, density = kde(x, n_grid=n_grid)
+    bw = evaluator.silverman_bandwidth(x)
+    want = np.linspace(x.min() - 3.0 * bw, x.max() + 3.0 * bw, n_grid)
+    assert grid.tobytes() == want.tobytes()
+    assert density.tobytes() == kde_oracle(x, want, bw).tobytes()
+
+
+def test_kde_blocks_equal_one_kernel_matrix_on_given_grid_and_spike():
+    x = np.random.default_rng(5).standard_normal(500)
+    grid = np.linspace(-4.0, 4.0, 37)
+    _, density = kde(x, grid=grid)
+    want = kde_oracle(x, grid, evaluator.silverman_bandwidth(x))
+    assert density.tobytes() == want.tobytes()
+    spike = np.full(50, 3.25)
+    grid, density = kde(spike)
+    assert density.tobytes() == kde_oracle(spike, grid, 3.25 * 1e-9).tobytes()
 
 
 def test_kde_requires_two_samples():

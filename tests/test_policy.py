@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import sigmoid_oracle
 from superdraw import policy
 from superdraw.autodiff import Tensor
 from superdraw.errors import ConfigError, DataError
@@ -76,6 +77,14 @@ def test_forward_strictly_inside_budget():
         c, _ = consumption(p, some_input(W=rng.uniform(0, 1e6)),
                            w_plus_a=wpa)
         assert 0.0 < c < wpa
+
+
+def test_sigmoid_equals_masked_two_sided_form():
+    rng = np.random.default_rng(3)
+    v = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0],
+                        5.0 * rng.standard_normal(10_000)]).reshape(1, -1)
+    assert policy._sigmoid(v).tobytes() == sigmoid_oracle(v).tobytes()
+    assert np.isnan(policy._sigmoid(np.array([np.nan]))).all()
 
 
 def test_forward_deterministic():

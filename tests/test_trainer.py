@@ -94,7 +94,7 @@ def test_tensor_mode_equals_numpy_mode():
     curve = cfg.curve()
     panel = synthetic_panel(6, cfg.horizon, seed=5)
     params = he_init(seed=2)
-    obj, _ = batch_objective(params, panel, curve, cfg)
+    obj, _ = batch_objective(params, panel.R, panel.Q, curve, cfg)
     plain = {n: getattr(params, n) for n in PARAM_FIELDS}
     total, _ = rollout_consume(policy_consumer(plain, cfg.norm()),
                                panel, curve, cfg)
@@ -106,7 +106,7 @@ def test_rollout_mean_equals_batch_objective():
     curve = cfg.curve()
     panel = synthetic_panel(5, cfg.horizon, seed=9)
     params = he_init(seed=4)
-    obj, _ = batch_objective(params, panel, curve, cfg)
+    obj, _ = batch_objective(params, panel.R, panel.Q, curve, cfg)
     singles = [rollout(params, panel, m, cfg, curve=curve)[0]
                for m in range(panel.M)]
     assert float(obj.value) == pytest.approx(np.mean(singles), rel=1e-12)
@@ -348,8 +348,8 @@ def test_nonfinite_gradient_takes_the_abort_path(tmp_path, monkeypatch):
     real = trainer.batch_objective
     calls = []
 
-    def poisoned(params, panel, curve, cfg):
-        obj, p = real(params, panel, curve, cfg)
+    def poisoned(params, R, Q, curve, cfg):
+        obj, p = real(params, R, Q, curve, cfg)
         calls.append(1)
         if len(calls) == 2:
             p["w3"].grad = np.full_like(p["w3"].value, np.nan)
@@ -381,7 +381,8 @@ def test_tape_stays_coarse():
     # transition, utilities) and the sums and products joining them.
     cfg = small_config(horizon=41, m_train=8, batch_size=8)
     panel = synthetic_panel(8, 41, seed=3)
-    obj, _ = batch_objective(he_init(seed=1), panel, cfg.curve(), cfg)
+    obj, _ = batch_objective(he_init(seed=1), panel.R, panel.Q,
+                             cfg.curve(), cfg)
     assert _tape_nodes(obj) <= 30 * (cfg.horizon + 1)
 
 
