@@ -7,10 +7,11 @@ wealth W/Q.
 
 Each block (the pension, the fee, the wealth transition) computes its value
 once, from one NumPy expression, for plain numpy evaluation and training
-alike. Given a Tensor input it wraps that same value in one tape node whose
-local derivative comes from the branch masks of the expression; given plain
-arrays it returns the array and does no slope work. Keep each formula in one
-place: no second, Tensor-only version of a block.
+alike. Asked with `slope=True`, the pension and the transition also return
+their local derivative, built from the branch masks of that expression; the
+training sweep chains these slopes (the fee's is the constant
+`AccountParams.fee_rate`). Keep each formula in one place: no second,
+training-only version of a block.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ConfigError
 
 __all__ = [
@@ -78,45 +77,39 @@ class AccountParams:
         return self.indirect_cost_ratio + self.investment_fee
 
 
-def _check_wealth(W) -> None:
-    if isinstance(W, Tensor):
-        return  # training-side wealth is clamped non-negative by construction
-    if np.any(np.asarray(W) < 0):
-        raise ConfigError("wealth must be non-negative")
-
-
-def age_pension(W, Q, params: PensionParams = PensionParams()):
+def age_pension(W, Q, params: PensionParams = PensionParams(),
+                slope: bool = False):
     """Annual pension payment: the lesser of the asset- and income-test amounts.
 
-    Accepts scalars, arrays, or Tensors for W; Q is data (scalar or array).
-    The payment is piecewise linear in W, so on the tape its slope is the
-    sum of the branch slopes that are strictly active at W.
+    Accepts scalars or arrays for W and Q. The payment is piecewise linear
+    in W; with `slope=True` returns (payment, dA/dW), the slope being that
+    of the strictly smaller test's strictly active branches.
     """
-    _check_wealth(W)
+    if np.any(np.asarray(W) < 0):
+        raise ConfigError("wealth must be non-negative")
     p = params
-    w = ad.value_of(W)
     full = p.a_max * Q
     # Asset test: taper on wealth above the free area.
-    over_free = w - p.w_a * Q
+    over_free = W - p.w_a * Q
     asset_taper = p.tau_a * p.fortnights_per_year
     a_asset_raw = full - asset_taper * np.maximum(over_free, 0.0)
     a_asset = np.maximum(a_asset_raw, 0.0)
     # Income test: deemed income from financial assets, two-tier rates.
     deeming_cut = p.w_i * Q
-    over_wi = w - deeming_cut
-    deemed = p.r1 * np.minimum(w, deeming_cut) \
+    over_wi = W - deeming_cut
+    deemed = p.r1 * np.minimum(W, deeming_cut) \
         + p.r2 * np.maximum(over_wi, 0.0)
     over_income = deemed - p.income_free * Q
     a_income_raw = full - p.tau_i * np.maximum(over_income, 0.0)
     a_income = np.maximum(a_income_raw, 0.0)
     value = np.minimum(a_asset, a_income)
-    if not isinstance(W, Tensor):
+    if not slope:
         return value
     d_asset = -asset_taper * ((over_free > 0) & (a_asset_raw > 0))
-    d_deemed = p.r1 * (w < deeming_cut) + p.r2 * (over_wi > 0)
+    d_deemed = p.r1 * (W < deeming_cut) + p.r2 * (over_wi > 0)
     d_income = -p.tau_i * d_deemed * ((over_income > 0) & (a_income_raw > 0))
-    slope = d_asset * (a_asset < a_income) + d_income * (a_income < a_asset)
-    return ad.local(value, (W, slope))
+    return value, d_asset * (a_asset < a_income) \
+        + d_income * (a_income < a_asset)
 
 
 def asset_test_cutoff(params: PensionParams = PensionParams()) -> float:
@@ -126,26 +119,24 @@ def asset_test_cutoff(params: PensionParams = PensionParams()) -> float:
 
 
 def fees(W, Q, params: AccountParams = AccountParams()):
-    """Annual fund fee: indexed admin charge plus an asset-based rate."""
-    value = params.admin_fee * Q + params.fee_rate * ad.value_of(W)
-    if not isinstance(W, Tensor):
-        return value
-    return ad.local(value, (W, params.fee_rate))
+    """Annual fund fee: indexed admin charge plus an asset-based rate.
+
+    Its slope in W is the constant `params.fee_rate`.
+    """
+    return params.admin_fee * Q + params.fee_rate * W
 
 
-def transition_balance(W, A, C, fee, R):
+def transition_balance(W, A, C, fee, R, slope: bool = False):
     """Next-year wealth: max(W + A - C - fee, 0) * e^R.
 
     Shared by every rollout (learned policy, deterministic strategies, and
-    oracles); accepts scalars, arrays, or Tensors for W, A, C and fee. R is
-    data. Above the depletion floor the slope is +-e^R; on or below it, 0.
+    oracles); accepts scalars or arrays. With `slope=True` returns (wealth,
+    s), s being the derivative in W and A (and -s in C and fee): e^R above
+    the depletion floor, 0 on or below it.
     """
-    inputs = (W, A, C, fee)
-    w, a, c, f = (ad.value_of(x) for x in inputs)
     growth = np.exp(R)
-    before = w + a - c - f
+    before = W + A - C - fee
     value = np.maximum(before, 0.0) * growth
-    if not any(isinstance(x, Tensor) for x in inputs):
+    if not slope:
         return value
-    slope = (before > 0) * growth
-    return ad.local(value, (W, slope), (A, slope), (C, -slope), (fee, -slope))
+    return value, (before > 0) * growth

@@ -160,8 +160,11 @@ def cmd_calibrate(args) -> int:
             fh.write(row_name + "," +
                      ",".join(f"{corr[i, j]:.6f}" for j in range(7)) + "\n")
     off_diag = np.max(np.abs(corr - np.diag(np.diag(corr))))
-    echo = configparser.ConfigParser()
-    echo["run"] = {"command": "calibrate", "history": str(history_path)}
+    echo = _new_ini()
+    # The bundled default goes by its file name, so that every checkout
+    # writes the same file.
+    echo["run"] = {"command": "calibrate", "history": str(
+        args.history or esg_mod.bundled_history_path().name)}
     with open(out / "config_used.ini", "w") as fh:
         echo.write(fh)
     print(f"calibrated 25 coefficients from {history_path}")
@@ -212,36 +215,42 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_policy(path, cfg: TrainConfig):
-    """Checkpoint file, or the final checkpoint inside a directory.
+def _load_matching(path, cfg: TrainConfig):
+    """(params, meta) of one checkpoint file trained under `cfg`.
 
     The checkpoint's input normalization must match the config's horizon
     and wealth scale; otherwise the network would read rescaled inputs.
     """
+    params, norm, meta = load_checkpoint(path)
+    if norm.horizon != float(cfg.horizon) or \
+            abs(norm.wealth_scale - cfg.norm().wealth_scale) > 1e-6:
+        raise ConfigError(
+            f"{path}: checkpoint normalization does not match the config "
+            f"(horizon {norm.horizon} vs {cfg.horizon}, wealth scale "
+            f"{norm.wealth_scale} vs {cfg.norm().wealth_scale})")
+    return params, meta
+
+
+def _load_policy(path, cfg: TrainConfig):
+    """Checkpoint file, or the final checkpoint inside a directory."""
     p = Path(path)
     if p.is_dir():
         final = p / "checkpoint_final.npz"
         if not final.exists():
             raise DataError(f"no checkpoint_final.npz under {p}")
         p = final
-    params, norm, meta = load_checkpoint(p)
-    if norm.horizon != float(cfg.horizon) or \
-            abs(norm.wealth_scale - cfg.norm().wealth_scale) > 1e-6:
-        raise ConfigError(
-            "checkpoint normalization does not match the config "
-            f"(horizon {norm.horizon} vs {cfg.horizon}, wealth scale "
-            f"{norm.wealth_scale} vs {cfg.norm().wealth_scale})")
-    return params, meta
+    return _load_matching(p, cfg)
 
 
-def _checkpoint_sequence(path):
-    """(iteration, params) for every numbered checkpoint in a directory."""
+def _checkpoint_sequence(path, cfg: TrainConfig):
+    """(iteration, params) for every numbered checkpoint in a directory,
+    each checked against `cfg` like the final one."""
     seq = []
     for f in sorted(Path(path).glob("checkpoint_*.npz")):
         stem = f.stem.rsplit("_", 1)[1]
         if not stem.isdigit():
             continue
-        params, _, meta = load_checkpoint(f)
+        params, meta = _load_matching(f, cfg)
         seq.append((meta["iteration"], params))
     return sorted(seq, key=lambda x: x[0])
 
@@ -257,6 +266,10 @@ def cmd_evaluate(args) -> int:
     if test_seed == cfg.seed:
         raise ConfigError("test seed must differ from the training seed")
     params, meta = _load_policy(args.checkpoint, cfg)
+    ckpt_path = Path(args.checkpoint)
+    # Every checkpoint is checked before any output is written.
+    seq = _checkpoint_sequence(ckpt_path, cfg) if ckpt_path.is_dir() \
+        else None
     panel = esg_mod.simulate(cfg.esg, cfg.initial_econ_state(), m_test,
                              cfg.horizon, seed=test_seed,
                              omega=cfg.account.omega)
@@ -270,9 +283,7 @@ def cmd_evaluate(args) -> int:
         mp = median_paths(report.records.pop(label), cfg.retirement_age)
         write_medians_csv(mp, out / f"medians_{label}.csv")
 
-    ckpt_path = Path(args.checkpoint)
-    if ckpt_path.is_dir():
-        seq = _checkpoint_sequence(ckpt_path)
+    if seq is not None:
         rows = outperformance_curve(seq, strategies, panel, cfg, curve=curve,
                                     base_utilities=report.utilities,
                                     policy=params)

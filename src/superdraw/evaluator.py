@@ -19,7 +19,7 @@ from .baselines import rollout_strategy
 from .errors import ConfigError
 from .esg import ScenarioPanel
 from .mortality import SurvivalCurve
-from .policy import PARAM_FIELDS, MlpParams
+from .policy import MlpParams
 from .trainer import (PathRecords, TrainConfig, policy_consumer,
                       rollout_consume)
 
@@ -79,15 +79,11 @@ class MedianPaths:
     consumption_rate: np.ndarray
 
 
-def _plain(params: MlpParams) -> dict:
-    return {n: getattr(params, n) for n in PARAM_FIELDS}
-
-
 def evaluate_policy(params: MlpParams, panel: ScenarioPanel,
                     curve: SurvivalCurve, cfg: TrainConfig,
                     record: bool = False):
     """Per-path utilities of the network policy on a panel, numpy mode."""
-    return rollout_consume(policy_consumer(_plain(params), cfg.norm()),
+    return rollout_consume(policy_consumer(params, cfg.norm()),
                            panel, curve, cfg, record=record)
 
 
@@ -106,7 +102,7 @@ def compare(params: MlpParams, strategies, panel: ScenarioPanel,
     if curve.horizon != panel.T:
         raise ConfigError("panel horizon does not match survival curve")
     if policy_consume is None:
-        policy_consume = policy_consumer(_plain(params), cfg.norm())
+        policy_consume = policy_consumer(params, cfg.norm())
     utilities, outperf, diffs, records = {}, {}, {}, {}
     u_pol, rec = rollout_consume(policy_consume, panel, curve, cfg,
                                  record=record)

@@ -11,10 +11,11 @@ normalization constants travel with the checkpoint so a saved policy is
 evaluated exactly as trained.
 
 The network body is one block, like the account formulas: `policy_fraction`
-runs the forward pass once in NumPy and returns the array for plain
-weights; given Tensor weights or inputs it wraps that same array in one
-tape node whose backward is ordinary ReLU-MLP backpropagation through the
-activations it kept. There is no second, operator-by-operator version.
+runs the forward pass once in NumPy and returns the activations it
+computed along with its output. `fraction_backward` is ordinary
+ReLU-MLP backpropagation through those activations; the training sweep
+calls it once per simulated year. There is no second, operator-by-operator
+version of the network.
 """
 
 from __future__ import annotations
@@ -23,18 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, NumericError
 
 __all__ = [
     "MlpParams",
     "PolicyNorm",
-    "ForwardTape",
     "PARAM_FIELDS",
     "he_init",
-    "lift",
     "policy_fraction",
+    "fraction_backward",
     "backward",
     "save_checkpoint",
     "load_checkpoint",
@@ -113,11 +112,6 @@ def he_init(k1: int = 20, k2: int = 20, k3: int = 20,
     )
 
 
-def lift(params: MlpParams) -> dict:
-    """Fresh leaf Tensors for one training step."""
-    return {n: Tensor(getattr(params, n)) for n in PARAM_FIELDS}
-
-
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     # Two-sided form avoids overflow in exp for large |v|: 1 / (1 + e^-v)
     # for v >= 0 and e^v / (1 + e^v) below, with e = e^-|v| in both.
@@ -126,72 +120,57 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0, 1.0 / d, e / d)
 
 
-def policy_fraction(p, x):
+def policy_fraction(w, x):
     """Network body: consumption as a fraction of available resources.
 
-    `p` maps field names to weights (arrays or Tensors); `x` is the
-    normalized input block of shape (4, batch), an array or a Tensor.
-    Returns a (batch,) row in (0, 1). ReLU on the input and both hidden
-    layers, sigmoid on the head. On a tape the whole body is one node whose
-    backward is ordinary ReLU-MLP backpropagation; a unit whose
-    pre-activation is exactly 0 passes no gradient.
+    `w` maps field names to weight arrays; `x` is the normalized input block
+    of shape (4, batch). Returns (fraction, layers): a (batch,) row in
+    (0, 1), with ReLU on the input and both hidden layers and a sigmoid on
+    the head, and the inputs of w0..w3, which `fraction_backward` reads.
     """
-    w = {n: ad.value_of(p[n]) for n in PARAM_FIELDS}
-    taped = {n: p[n] for n in PARAM_FIELDS if isinstance(p[n], Tensor)}
-    on_tape = bool(taped) or isinstance(x, Tensor)
-    h = ad.value_of(x)
+    h = x
     layers = [h]                       # inputs of w0, w1, w2, w3
     for k in range(3):
         h = w[f"w{k}"] @ h             # in place: one new array per layer
         h += w[f"b{k}"]
         np.maximum(h, 0.0, out=h)
-        if on_tape:
-            # Kept for the backward pass, where h > 0 is also the ReLU
-            # mask: exactly where the pre-activation is > 0.
-            layers.append(h)
+        # h > 0 doubles as the ReLU mask in `fraction_backward`: exactly
+        # where the pre-activation is > 0.
+        layers.append(h)
     frac = _sigmoid(w["w3"] @ h + w["b3"]).reshape(-1)
-    if not on_tape:
-        return frac
+    return frac, layers
 
-    def back(g):
-        d = (g * frac * (1.0 - frac)).reshape(1, -1)
-        for k in (3, 2, 1, 0):
-            if f"w{k}" in taped:
-                taped[f"w{k}"]._accum(d @ layers[k].T)
-            if f"b{k}" in taped:
-                taped[f"b{k}"]._accum(d.sum(axis=1, keepdims=True))
-            if k > 0:
-                d = w[f"w{k}"].T @ d
-                d *= layers[k] > 0
-            elif isinstance(x, Tensor):
-                x._accum(w["w0"].T @ d)
 
-    parents = list(taped.values()) + ([x] if isinstance(x, Tensor) else [])
-    return Tensor(frac, parents, back)
+def fraction_backward(w, layers, frac, g, grads):
+    """Backpropagate `g`, the (batch,) gradient of an objective with
+    respect to `frac`, through the body that computed `frac` and `layers`.
+
+    Adds each weight's gradient into the array of the same name in `grads`
+    and returns the (4, batch) gradient with respect to the input block. A
+    unit whose pre-activation is exactly 0 passes no gradient.
+    """
+    d = (g * frac * (1.0 - frac)).reshape(1, -1)
+    for k in (3, 2, 1, 0):
+        grads[f"w{k}"] += d @ layers[k].T
+        grads[f"b{k}"] += d.sum(axis=1, keepdims=True)
+        if k > 0:
+            d = w[f"w{k}"].T @ d
+            d *= layers[k] > 0
+    return w["w0"].T @ d
 
 
 def normalized_inputs(t, W, R, Q, norm: PolicyNorm):
-    """Stack (t, W, R, Q) rows scaled to O(1); any row may be a Tensor."""
+    """Stack (t, W, R, Q) rows scaled to O(1)."""
     scale = 1.0 / norm.wealth_scale
-    return ad.stack_rows([t * (1.0 / norm.horizon), W * scale, R, Q])
+    return np.stack([t * (1.0 / norm.horizon), W * scale, R, Q])
 
 
-@dataclass
-class ForwardTape:
-    """Recorded computation of one forward pass."""
-
-    output: Tensor
-    params: dict
-
-
-def backward(tape: ForwardTape) -> MlpParams:
-    """Parameter gradients of the recorded output; MlpParams-shaped."""
-    tape.output.backward()
-    grads = {}
-    for name, leaf in tape.params.items():
-        grads[name] = (np.zeros_like(leaf.value) if leaf.grad is None
-                       else leaf.grad)
-    return MlpParams(**grads)
+def backward(tape: Tensor) -> MlpParams:
+    """Weight gradients of an objective's root node, whose parents are the
+    weight leaves in PARAM_FIELDS order; MlpParams-shaped."""
+    tape.backward()
+    return MlpParams(**{n: leaf.grad
+                        for n, leaf in zip(PARAM_FIELDS, tape._parents)})
 
 
 # ------------------------------------------------------------- checkpoints

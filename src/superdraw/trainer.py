@@ -1,19 +1,20 @@
 """Backpropagation-through-time training of the consumption policy.
 
 One rollout engine serves every consumer of the transition dynamics: the
-differentiable training objective, plain-numpy evaluation of a trained
-policy, and the deterministic baseline strategies. The engine is generic
-over a `consume(t, W, A, R, Q) -> C` callable and over value types (ndarray
-or Tensor), so there is a single implementation of the yearly loop
+training objective, plain-numpy evaluation of a trained policy, and the
+deterministic baseline strategies. The engine is generic over a
+`consume(t, W, A, R, Q) -> C` callable, so there is a single implementation
+of the yearly loop
 
     pension -> consumption -> utility weights -> fees -> wealth growth
 
-and gradients flow through the whole 41-year recursion, including the
-pension's piecewise branches and the depletion clamp.
+For training the loop also keeps each block's local slope, and `_sweep`
+runs lambda_t = dJ/dW_t back through the whole 41-year recursion,
+including the pension's piecewise branches and the depletion clamp.
 
 Training itself is minibatch gradient ascent with Adam: each iteration
-draws a batch of scenario paths, accumulates the mortality-weighted utility
-objective on a fresh tape, and applies the bias-corrected update to the
+draws a batch of scenario paths, evaluates the mortality-weighted utility
+objective, runs the sweep, and applies the bias-corrected update to the
 negated gradient.
 """
 
@@ -30,12 +31,12 @@ import numpy as np
 from . import esg as esg_mod
 from .account import (AccountParams, PensionParams, age_pension, fees,
                       transition_balance)
-from .autodiff import value_of
+from .autodiff import Tensor
 from .errors import ConfigError, NumericError
 from .esg import EconState, EsgParams, ScenarioPanel
 from .mortality import SurvivalCurve, load_life_table, survival_curve
-from .policy import (PARAM_FIELDS, ForwardTape, MlpParams, PolicyNorm,
-                     he_init, lift, normalized_inputs, policy_fraction,
+from .policy import (PARAM_FIELDS, MlpParams, PolicyNorm, fraction_backward,
+                     he_init, normalized_inputs, policy_fraction,
                      save_checkpoint)
 from .utility import UtilityParams, bequest_utility, consumption_utility
 
@@ -121,7 +122,7 @@ class TrainReport:
     Each row is (iter, objective, wallclock_ms, forward_ms, backward_ms,
     adam_ms): the objective of the logged iteration, milliseconds since the
     loop started, and the time spent since the previous row in batch
-    selection plus the taped objective, in the backward pass, and in the
+    selection plus the objective's forward pass, in the sweep, and in the
     Adam update.
     """
 
@@ -157,34 +158,46 @@ class PathRecords:
 # ------------------------------------------------------------------ rollout
 
 
-def policy_consumer(p, norm: PolicyNorm):
-    """Consumption rule driven by the network; `p` maps names to weights."""
+def policy_consumer(params: MlpParams, norm: PolicyNorm,
+                    kept: list | None = None):
+    """Consumption rule driven by the network.
+
+    With `kept` a list, each call appends the year's resources W + A and
+    the network's (fraction, layers) for `_sweep`.
+    """
+    w = {n: getattr(params, n) for n in PARAM_FIELDS}
 
     def consume(t, W, A, R, Q):
-        n = len(np.atleast_1d(np.asarray(Q, dtype=float)))
-        x = normalized_inputs(np.full(n, float(t)), W, R, Q, norm)
-        return (W + A) * policy_fraction(p, x)
+        x = normalized_inputs(np.full(len(Q), float(t)), W, R, Q, norm)
+        frac, layers = policy_fraction(w, x)
+        if kept is not None:
+            kept.append((W + A, frac, layers))
+        return (W + A) * frac
 
     return consume
 
 
+def _with_slope(out, keep: bool):
+    """(value, slope) of a block asked with `slope=keep`; slope None if not."""
+    return out if keep else (out, None)
+
+
 def _rollout_engine(consume, R: np.ndarray, Q: np.ndarray,
                     curve: SurvivalCurve, cfg: TrainConfig,
-                    record: bool = False):
+                    record: bool = False, kept: list | None = None):
     """Apply the yearly loop to all paths at once.
 
     `R` and `Q` are the (paths, T+1) return and deflator columns of a
     scenario panel, the only columns the loop reads. Returns (per-path
-    lifetime utilities, PathRecords or None). When `consume` returns
-    Tensors the utilities come back as a Tensor of shape (paths,) on a live
-    tape; record mode requires plain numpy.
+    lifetime utilities, PathRecords or None). With `kept` a list, each year
+    appends the slopes `_sweep` reads: (1/Q, dA/dW, u'(C/Q), v'(W/Q) or
+    None, dW'/d(W + A - C - fee) or None).
     """
     B, T = R.shape[0], R.shape[1] - 1
     if curve.horizon != T:
         raise ConfigError(f"survival horizon {curve.horizon} != panel {T}")
     uparams = cfg.effective_utility()
-    # Both start as data; on a tape they join it through the first
-    # consumption, which depends on the network weights.
+    keep = kept is not None
     W = np.full(B, cfg.w0)
     total = np.zeros(B)
     rec = None
@@ -194,22 +207,70 @@ def _rollout_engine(consume, R: np.ndarray, Q: np.ndarray,
                           pension=np.empty((B, T + 1)))
     for t in range(T + 1):
         Qt = Q[:, t]
-        A = age_pension(W, Qt, cfg.pension)
+        A, dA = _with_slope(age_pension(W, Qt, cfg.pension, slope=keep), keep)
         C = consume(t, W, A, R[:, t], Qt)
         inv_q = 1.0 / Qt
-        total = total + curve.tpx[t] * consumption_utility(C * inv_q, uparams)
+        u, du = _with_slope(consumption_utility(C * inv_q, uparams,
+                                                slope=keep), keep)
+        total = total + curve.tpx[t] * u
+        dv = None
         if uparams.phi > 0.0 and t >= 1:
-            total = total + curve.dq[t] * bequest_utility(W * inv_q, uparams)
+            v, dv = _with_slope(bequest_utility(W * inv_q, uparams,
+                                                slope=keep), keep)
+            total = total + curve.dq[t] * v
         if record:
-            rec.consumption[:, t] = np.asarray(C) * inv_q
-            rec.wealth[:, t] = np.asarray(W) * inv_q
-            rec.pension[:, t] = np.asarray(A) * inv_q
+            rec.consumption[:, t] = C * inv_q
+            rec.wealth[:, t] = W * inv_q
+            rec.pension[:, t] = A * inv_q
+        d_next = None
         if t < T:
             fee = fees(W, Qt, cfg.account)
-            W = transition_balance(W, A, C, fee, R[:, t + 1])
-            if not np.all(np.isfinite(value_of(W))):
+            W, d_next = _with_slope(transition_balance(
+                W, A, C, fee, R[:, t + 1], slope=keep), keep)
+            if not np.all(np.isfinite(W)):
                 raise NumericError(f"non-finite wealth after year t={t}")
+        if keep:
+            kept.append((inv_q, dA, du, dv, d_next))
     return total, rec
+
+
+def _sweep(params: MlpParams, net: list, years: list, seed: float,
+           curve: SurvivalCurve, cfg: TrainConfig) -> list:
+    """Weight gradients of seed * (sum of per-path utilities), in
+    PARAM_FIELDS order, from the years one rollout kept.
+
+    The adjoint lambda_t = dJ/dW_t runs from the last year back. With
+    C = (W + A) f(x), x carrying W / wealth_scale, and b = lambda_{t+1} times
+    the slope of W_{t+1} in W + A - C - fee (dropping the year index t):
+
+        dJ/dC    = seed tpx u'(C/Q) / Q - b
+        lambda_t = seed dq v'(W/Q) / Q + b (1 + dA/dW - fee_rate)
+                   + dJ/dC (f (1 + dA/dW) + (W + A) df/dW)
+
+    and the network's backward pass adds each year's weight gradients. The
+    terms are summed in the order the earlier general-purpose tape used, so
+    training reproduces its checkpoints bit for bit.
+    """
+    w = {n: getattr(params, n) for n in PARAM_FIELDS}
+    grads = {n: np.zeros_like(w[n]) for n in PARAM_FIELDS}
+    fee_rate = cfg.account.fee_rate
+    scale = 1.0 / cfg.norm().wealth_scale
+    lam = 0.0                      # lambda_{t+1}; 0 after the last year
+    for t in range(len(years) - 1, -1, -1):
+        inv_q, dA, du, dv, d_next = years[t]
+        resources, frac, layers = net[t]
+        last = d_next is None
+        b = 0.0 if last else lam * d_next
+        dC = seed * curve.tpx[t] * du * inv_q - b
+        dx = fraction_backward(w, layers, frac, dC * resources, grads)
+        dS = dC * frac             # through the resources W + A
+        bequest = 0.0 if dv is None else seed * curve.dq[t] * dv * inv_q
+        # The bequest term comes first, except in the last year.
+        lam = b if last else bequest + b
+        lam = lam + dS + (b + dS) * dA + dx[1] * scale - b * fee_rate
+        if last:
+            lam = lam + bequest
+    return [grads[n] for n in PARAM_FIELDS]
 
 
 def rollout_consume(consume, panel: ScenarioPanel, curve: SurvivalCurve,
@@ -219,30 +280,31 @@ def rollout_consume(consume, panel: ScenarioPanel, curve: SurvivalCurve,
                            record=record)
 
 
+def batch_objective(params: MlpParams, R: np.ndarray, Q: np.ndarray,
+                    curve: SurvivalCurve, cfg: TrainConfig):
+    """(objective, leaves): the mean per-path objective over the rows of the
+    panel columns R and Q, as a root node whose `backward` runs `_sweep`
+    into the eight weight leaves."""
+    net, years = [], []
+    total, _ = _rollout_engine(policy_consumer(params, cfg.norm(), net), R,
+                               Q, curve, cfg, kept=years)
+    p = {n: Tensor(getattr(params, n)) for n in PARAM_FIELDS}
+    obj = Tensor(total.mean(), list(p.values()), lambda: _sweep(
+        params, net, years, 1.0 / len(total), curve, cfg))
+    return obj, p
+
+
 def rollout(params: MlpParams, panel: ScenarioPanel, m: int,
             cfg: TrainConfig, curve: SurvivalCurve | None = None):
     """Objective term of one path under the policy; returns (value, tape).
 
-    The tape spans the full trajectory, so `policy.backward` on it yields
-    the gradient of this path's realized utility w.r.t. every weight.
+    `policy.backward` on the tape, the objective's root node, yields the
+    gradient of this path's realized utility w.r.t. every weight.
     """
     if curve is None:
         curve = cfg.curve()
-    p = lift(params)
-    total, _ = _rollout_engine(policy_consumer(p, cfg.norm()),
-                               panel.R[[m]], panel.Q[[m]], curve, cfg)
-    obj = total.sum()
-    return float(obj.value), ForwardTape(output=obj, params=p)
-
-
-def batch_objective(params: MlpParams, R: np.ndarray, Q: np.ndarray,
-                    curve: SurvivalCurve, cfg: TrainConfig):
-    """Mean per-path objective over the rows of the panel columns R and Q,
-    on a live tape."""
-    p = lift(params)
-    total, _ = _rollout_engine(policy_consumer(p, cfg.norm()), R, Q, curve,
-                               cfg)
-    return total.mean(), p
+    obj, _ = batch_objective(params, panel.R[[m]], panel.Q[[m]], curve, cfg)
+    return float(obj.value), obj
 
 
 # --------------------------------------------------------------------- adam
@@ -338,9 +400,7 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
             t1 = time.perf_counter()
             obj.backward()
             t2 = time.perf_counter()
-            grads = MlpParams(**{n: -p[n].grad if p[n].grad is not None
-                                 else np.zeros_like(getattr(params, n))
-                                 for n in PARAM_FIELDS})
+            grads = MlpParams(**{n: -p[n].grad for n in PARAM_FIELDS})
             adam, params = adam_step(adam, params, grads)
         except NumericError as exc:
             report.aborted = True

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ConfigError, DataError
 from .mortality import SurvivalCurve
 
@@ -57,34 +56,39 @@ def bequest_coefficient(params: UtilityParams) -> float:
     return (params.phi / (1.0 - params.phi)) ** params.rho
 
 
-def _crra(x, params: UtilityParams):
-    """(max(x, floor) / unit) ** (1 - rho) / (1 - rho); one node on a tape.
+def _crra(x, params: UtilityParams, slope: bool = False):
+    """(max(x, floor) / unit) ** (1 - rho) / (1 - rho).
 
-    The slope is (x / unit) ** -rho / unit above the floor and 0 on or
-    below it.
+    With `slope=True` returns (value, du/dx), the slope being
+    (x / unit) ** -rho / unit above the floor and 0 on or below it.
     """
-    v = ad.value_of(x)
     inv_unit = 1.0 / params.wealth_unit
-    scaled = np.maximum(v, params.floor_epsilon) * inv_unit
+    scaled = np.maximum(x, params.floor_epsilon) * inv_unit
     value = scaled ** (1.0 - params.rho) * (1.0 / (1.0 - params.rho))
-    if not isinstance(x, ad.Tensor):
+    if not slope:
         return value
-    slope = (v > params.floor_epsilon) * scaled ** -params.rho * inv_unit
-    return ad.local(value, (x, slope))
+    return value, (x > params.floor_epsilon) * scaled ** -params.rho \
+        * inv_unit
 
 
-def consumption_utility(c, params: UtilityParams = UtilityParams()):
-    """u(c) for real consumption; accepts scalars, arrays, or Tensors."""
-    return _crra(c, params)
+def consumption_utility(c, params: UtilityParams = UtilityParams(),
+                        slope: bool = False):
+    """u(c) for real consumption, or (u, u') with `slope=True`."""
+    return _crra(c, params, slope)
 
 
-def bequest_utility(w, params: UtilityParams = UtilityParams()):
-    """v(w) for real residual wealth; identically 0 when phi = 0."""
+def bequest_utility(w, params: UtilityParams = UtilityParams(),
+                    slope: bool = False):
+    """v(w) for real residual wealth, or (v, v') with `slope=True`;
+    identically 0 when phi = 0."""
     coeff = bequest_coefficient(params)
     if coeff == 0.0:
-        return np.zeros_like(np.asarray(w, dtype=float)) if not isinstance(
-            w, ad.Tensor) else ad.Tensor(np.zeros_like(w.value))
-    return coeff * _crra(w, params)
+        zero = np.zeros_like(np.asarray(w, dtype=float))
+        return (zero, zero) if slope else zero
+    if not slope:
+        return coeff * _crra(w, params)
+    value, du = _crra(w, params, slope=True)
+    return coeff * value, coeff * du
 
 
 def lifetime_utility(c_path, w_path, curve: SurvivalCurve,

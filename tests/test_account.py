@@ -9,7 +9,6 @@ from oracles import pension_oracle
 from superdraw import esg
 from superdraw.account import (AccountParams, PensionParams, age_pension,
                                asset_test_cutoff, fees, transition_balance)
-from superdraw.autodiff import Tensor
 from superdraw.errors import ConfigError
 
 P = PensionParams()
@@ -186,50 +185,46 @@ def test_wealth_never_negative_random():
 
 
 def test_pension_gradient_branches():
+    def slope(w):
+        return age_pension(np.array([w]), 1.0, P, slope=True)[1][0]
+
     # In the tapered asset-test region the derivative is -26 * tau_a.
-    w = Tensor(np.array([500_000.0]))
-    age_pension(w, 1.0, P).sum().backward()
-    assert w.grad[0] == pytest.approx(-0.078)
+    assert slope(500_000.0) == pytest.approx(-0.078)
     # In the asset free area with deeming binding, d/dW = -tau_i * r2.
-    w2 = Tensor(np.array([255_000.0]))
-    age_pension(w2, 1.0, P).sum().backward()
-    assert w2.grad[0] == pytest.approx(-0.5 * 0.0225)
+    assert slope(255_000.0) == pytest.approx(-0.5 * 0.0225)
     # Past the cutoff the pension is flat at zero.
-    w3 = Tensor(np.array([700_000.0]))
-    age_pension(w3, 1.0, P).sum().backward()
-    assert w3.grad[0] == 0.0
+    assert slope(700_000.0) == 0.0
 
 
 def test_transition_balance_gradient_through_floor():
-    W = Tensor(np.array([100.0, 10_000.0]))
-    out = transition_balance(W, 0.0, np.array([500.0, 500.0]), 0.0,
-                             np.array([0.1, 0.1]))
-    out.sum().backward()
-    assert out.value[0] == 0.0
-    assert W.grad[0] == 0.0                       # clamped branch
-    assert W.grad[1] == pytest.approx(np.exp(0.1))
+    W = np.array([100.0, 10_000.0])
+    out, s = transition_balance(W, 0.0, np.array([500.0, 500.0]), 0.0,
+                                np.array([0.1, 0.1]), slope=True)
+    assert out[0] == 0.0
+    assert s[0] == 0.0                            # clamped branch
+    assert s[1] == pytest.approx(np.exp(0.1))
 
 
 def test_transition_balance_same_code_both_modes():
     args = (90_000.0, 10_000.0, 30_000.0, 900.0, 0.05)
     plain = transition_balance(*args)
-    taped = transition_balance(Tensor(args[0]), *args[1:])
-    assert float(taped.value) == plain
+    value, _ = transition_balance(*args, slope=True)
+    assert value == plain
 
 
 def _slope_and_fd(f, w, h=1.0):
-    """Tape slope of elementwise f at w, and its central difference."""
-    t = Tensor(np.array(w, dtype=float))
-    f(t).sum().backward()
-    fd = (f(np.array(w) + h) - f(np.array(w) - h)) / (2.0 * h)
-    return t.grad, fd
+    """Returned slope of elementwise f at w, and its central difference."""
+    w = np.array(w, dtype=float)
+    _, slope = f(w, slope=True)
+    fd = (f(w + h) - f(w - h)) / (2.0 * h)
+    return slope, fd
 
 
 @pytest.mark.parametrize("q", [1.0, 1.3])
 def test_pension_slope_matches_fd_in_every_regime(q):
     # Full (below and above w_i), income-tapered, asset-tapered, nil.
     w = q * np.array([20_000.0, 100_000.0, 255_000.0, 500_000.0, 700_000.0])
-    got, fd = _slope_and_fd(lambda x: age_pension(x, q, P), w)
+    got, fd = _slope_and_fd(lambda x, **kw: age_pension(x, q, P, **kw), w)
     assert np.allclose(got, [0.0, 0.0, -0.5 * 0.0225, -0.078, 0.0],
                        rtol=1e-12, atol=0.0)
     assert np.allclose(got, fd, rtol=1e-6, atol=1e-9)
@@ -241,17 +236,17 @@ def test_pension_slope_on_both_sides_of_deeming_threshold():
     p = PensionParams(income_free=0.0)
     q = 1.3
     w = q * p.w_i + np.array([-1_000.0, 1_000.0])
-    got, fd = _slope_and_fd(lambda x: age_pension(x, q, p), w)
+    got, fd = _slope_and_fd(lambda x, **kw: age_pension(x, q, p, **kw), w)
     assert np.allclose(got, [-0.5 * 0.0025, -0.5 * 0.0225], rtol=1e-12)
     assert np.allclose(got, fd, rtol=1e-6)
-    tie = Tensor(np.array([q * p.w_i]))
-    age_pension(tie, q, p).sum().backward()
-    assert tie.grad[0] == 0.0
+    _, tie = age_pension(np.array([q * p.w_i]), q, p, slope=True)
+    assert tie[0] == 0.0
 
 
 def test_fee_and_transition_slopes_match_fd():
-    # W feeds the transition directly and through the fee; A, C and the
-    # fee enter with slope +-e^R above the floor and 0 on it.
+    # W feeds the transition directly and through the fee, whose slope is
+    # the constant fee rate; A, C and the fee enter with slope +-e^R above
+    # the floor and 0 on it.
     R = np.array([0.1, -0.2, 0.05])
     Q = 1.2
     W0 = np.array([90_000.0, 10_000.0, 500.0])
@@ -262,19 +257,18 @@ def test_fee_and_transition_slopes_match_fd():
     def step(W, A, C):
         return transition_balance(W, A, C, fees(W, Q, ACC), R)
 
-    W, A, C = Tensor(W0), Tensor(A0), Tensor(C0)
-    out = step(W, A, C)
-    assert out.value[2] == 0.0
-    out.sum().backward()
+    out, s = transition_balance(W0, A0, C0, fees(W0, Q, ACC), R, slope=True)
+    assert out[2] == 0.0
+    slopes = ((1.0 - ACC.fee_rate) * s, s, -s)    # d/dW, d/dA, d/dC
     grow = np.exp(R) * [1.0, 1.0, 0.0]
-    assert np.allclose(W.grad, (1.0 - ACC.fee_rate) * grow, rtol=1e-12)
-    assert np.allclose(A.grad, grow, rtol=1e-12)
-    assert np.allclose(C.grad, -grow, rtol=1e-12)
+    assert np.allclose(slopes[0], (1.0 - ACC.fee_rate) * grow, rtol=1e-12)
+    assert np.allclose(slopes[1], grow, rtol=1e-12)
+    assert np.allclose(slopes[2], -grow, rtol=1e-12)
     h = 1.0
     for i, x0 in enumerate((W0, A0, C0)):
         args_up = [W0, A0, C0]
         args_dn = [W0, A0, C0]
         args_up[i], args_dn[i] = x0 + h, x0 - h
         fd = (step(*args_up) - step(*args_dn)) / (2.0 * h)
-        got = (W, A, C)[i].grad
+        got = slopes[i]
         assert np.allclose(got[:2], fd[:2], rtol=1e-6)

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superdraw import autodiff as ad
-from superdraw.account import (PensionParams, age_pension, fees,
-                               transition_balance)
+from superdraw.account import (AccountParams, PensionParams, age_pension,
+                               fees, transition_balance)
 from superdraw.autodiff import Tensor
-from superdraw.policy import PARAM_FIELDS, he_init, policy_fraction
+from superdraw.policy import (PARAM_FIELDS, fraction_backward, he_init,
+                              policy_fraction)
 from superdraw.utility import UtilityParams, consumption_utility
 
 
@@ -28,33 +28,20 @@ def numeric_grad(f, x, h=1e-6):
     return g
 
 
-def test_square_gradient():
-    x = Tensor(3.0)
-    y = x * x
-    y.backward()
-    assert x.grad == pytest.approx(6.0)
-
-
-def test_fanout_accumulates():
-    x = Tensor(2.0)
-    y = x * x + x  # dy/dx = 2x + 1
-    y.backward()
-    assert x.grad == pytest.approx(5.0)
-
-
-def test_chain_with_constants():
-    x = Tensor(np.array([1.0, 2.0, 3.0]))
-    y = ((2.0 * x + -1.0) * np.array([0.25])).sum()
-    y.backward()
-    assert np.allclose(x.grad, 0.5)
+def net_gradients(w, x, seed=None):
+    """Weight and input gradients of sum(seed * fraction) at (w, x)."""
+    frac, layers = policy_fraction(w, x)
+    grads = {n: np.zeros_like(w[n]) for n in PARAM_FIELDS}
+    g = np.ones_like(frac) if seed is None else seed
+    x_grad = fraction_backward(w, layers, frac, g, grads)
+    return frac, grads, x_grad
 
 
 def test_pow_negative_exponent():
-    # The CRRA node carries the power: at rho = 5, -4 u(x) = x ** -4.
-    x = Tensor(np.array([0.5, 2.0]))
-    y = (-4.0 * consumption_utility(x, UtilityParams(rho=5.0))).sum()
-    y.backward()
-    assert np.allclose(x.grad, -4.0 * x.value ** -5.0)
+    # The CRRA slope carries the power: at rho = 5, -4 u(x) = x ** -4.
+    x = np.array([0.5, 2.0])
+    _, slope = consumption_utility(x, UtilityParams(rho=5.0), slope=True)
+    assert np.allclose(-4.0 * slope, -4.0 * x ** -5.0)
 
 
 def test_matmul_matches_fd():
@@ -65,34 +52,23 @@ def test_matmul_matches_fd():
     x0 = rng.normal(size=(4, 6))
 
     def f_w0(w0):
-        return float(policy_fraction({**plain, "w0": w0}, x0).sum())
+        return float(policy_fraction({**plain, "w0": w0}, x0)[0].sum())
 
     def f_x(x):
-        return float(policy_fraction(plain, x).sum())
+        return float(policy_fraction(plain, x)[0].sum())
 
-    w0 = Tensor(plain["w0"])
-    x = Tensor(x0)
-    policy_fraction({**plain, "w0": w0}, x).sum().backward()
-    assert np.allclose(w0.grad, numeric_grad(f_w0, plain["w0"]), atol=1e-6)
-    assert np.allclose(x.grad, numeric_grad(f_x, x0), atol=1e-6)
-
-
-def test_unbroadcast_bias_shape():
-    # (K,1) bias broadcast over a batch axis must sum its gradient back.
-    w = Tensor(np.ones((2, 3)))
-    b = Tensor(np.zeros((2, 1)))
-    out = (w + b).sum()
-    out.backward()
-    assert b.grad.shape == (2, 1)
-    assert np.allclose(b.grad, 3.0)
+    _, grads, x_grad = net_gradients(plain, x0)
+    assert np.allclose(grads["w0"], numeric_grad(f_w0, plain["w0"]),
+                       atol=1e-6)
+    assert np.allclose(x_grad, numeric_grad(f_x, x0), atol=1e-6)
 
 
 def test_maximum_strict_winner_and_tie():
     # The CRRA floor max(x, eps): only x strictly above eps passes slope.
     params = UtilityParams(rho=2.0, floor_epsilon=1.0)
-    x = Tensor(np.array([1.0, 4.0, 0.5]))
-    consumption_utility(x, params).sum().backward()
-    assert np.allclose(x.grad, [0.0, 1.0 / 16.0, 0.0])  # tie gets nothing
+    x = np.array([1.0, 4.0, 0.5])
+    _, slope = consumption_utility(x, params, slope=True)
+    assert np.allclose(slope, [0.0, 1.0 / 16.0, 0.0])  # tie gets nothing
 
 
 def test_minimum_strict_winner_and_tie():
@@ -103,9 +79,7 @@ def test_minimum_strict_winner_and_tie():
         p = PensionParams(a_max=1_000.0, w_a=0.0, tau_a=tau_a,
                           fortnights_per_year=1, income_free=0.0, w_i=0.0,
                           r1=0.0, r2=1.0, tau_i=0.5)
-        w = Tensor(np.array([100.0]))
-        age_pension(w, 1.0, p).sum().backward()
-        return w.grad[0]
+        return age_pension(np.array([100.0]), 1.0, p, slope=True)[1][0]
 
     assert slope(0.25) == -0.5
     assert slope(1.0) == -1.0
@@ -114,14 +88,12 @@ def test_minimum_strict_winner_and_tie():
 
 def test_relu_zero_subgradient_at_kink():
     # First-layer pre-activations -1, 0, 2 in a 3-1-1-1 network.
-    p = {"w0": np.zeros((3, 4)),
-         "b0": Tensor(np.array([[-1.0], [0.0], [2.0]])),
+    p = {"w0": np.zeros((3, 4)), "b0": np.array([[-1.0], [0.0], [2.0]]),
          "w1": np.ones((1, 3)), "b1": np.ones((1, 1)), "w2": np.ones((1, 1)),
          "b2": np.zeros((1, 1)), "w3": np.ones((1, 1)), "b3": np.zeros((1, 1))}
-    frac = policy_fraction(p, np.zeros((4, 1)))
-    frac.sum().backward()
-    s = frac.value[0]
-    assert np.allclose(p["b0"].grad.ravel(), [0.0, 0.0, s * (1.0 - s)])
+    frac, grads, _ = net_gradients(p, np.zeros((4, 1)))
+    s = frac[0]
+    assert np.allclose(grads["b0"].ravel(), [0.0, 0.0, s * (1.0 - s)])
 
 
 def test_dispatch_on_plain_arrays_returns_arrays():
@@ -130,8 +102,8 @@ def test_dispatch_on_plain_arrays_returns_arrays():
     net = he_init(3, 3, 3)
     plain = {n: getattr(net, n) for n in PARAM_FIELDS}
     for out in (age_pension(w, 1.0), fees(w, 1.0),
-                consumption_utility(w + 1.0), ad.stack_rows([x, x]),
-                policy_fraction(plain, np.ones((4, 2)))):
+                consumption_utility(w + 1.0),
+                policy_fraction(plain, np.ones((4, 2)))[0]):
         assert isinstance(out, np.ndarray)
     # The transition with nothing added or taken is the ReLU of wealth.
     assert np.allclose(transition_balance(x, 0.0, 0.0, 0.0, 0.0), [0.0, 2.0])
@@ -142,57 +114,52 @@ def test_sigmoid_extreme_arguments_finite():
                                      ("w1", (1, 1)), ("b1", (1, 1)),
                                      ("w2", (1, 1)), ("b2", (1, 1)),
                                      ("w3", (1, 1)))}
-    s = [policy_fraction({**p, "b3": np.array([[v]])}, np.zeros((4, 1)))[0]
-         for v in (-800.0, 0.0, 800.0)]
+    s = [policy_fraction({**p, "b3": np.array([[v]])},
+                         np.zeros((4, 1)))[0][0] for v in (-800.0, 0.0, 800.0)]
     assert np.all(np.isfinite(s))
     assert s[0] == pytest.approx(0.0)
     assert s[1] == pytest.approx(0.5)
     assert s[2] == pytest.approx(1.0)
-    b3 = Tensor(np.array([[800.0]]))
-    policy_fraction({**p, "b3": b3}, np.zeros((4, 1))).sum().backward()
-    assert b3.grad[0, 0] == 0.0
+    _, grads, _ = net_gradients({**p, "b3": np.array([[800.0]])},
+                                np.zeros((4, 1)))
+    assert grads["b3"][0, 0] == 0.0
 
 
-def test_stack_rows_mixed_tensor_and_array():
-    a = Tensor(np.array([1.0, 2.0]))
-    rows = ad.stack_rows([a, np.array([3.0, 4.0])])
-    assert rows.shape == (2, 2)
-    assert rows._parents == (a,)   # the plain row is a constant
-    (rows * np.array([[1.0, 10.0], [100.0, 1000.0]])).sum().backward()
-    assert np.allclose(a.grad, [1.0, 10.0])
-
-
-def test_zero_seed_gives_zero_gradients():
-    x = Tensor(np.array([1.0, 2.0]))
-    y = (x * x).sum()
-    y.backward(seed=0.0)
-    assert np.allclose(x.grad, 0.0)
-
-
-def test_fresh_tape_per_evaluation():
-    # Tapes are single-shot: build a new graph for every backward pass.
-    for _ in range(2):
-        x = Tensor(2.0)
-        y = x * x
-        y.backward()
-        assert x.grad == pytest.approx(4.0)
+def test_backward_adds_into_set_leaf_gradients():
+    # The root's sweep gradient lands in an unset leaf as is and is added
+    # on top of a leaf gradient that is already set.
+    a, b = Tensor(np.zeros(2)), Tensor(np.zeros(2))
+    b.grad = np.array([10.0, np.nan])
+    root = Tensor(1.0, [a, b], lambda: [np.array([1.0, 2.0]),
+                                        np.array([3.0, 4.0])])
+    root.backward()
+    assert np.array_equal(a.grad, [1.0, 2.0])
+    assert b.grad[0] == 13.0 and np.isnan(b.grad[1])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_composite_expression_matches_fd(seed):
     # One simulated year: pension, fee and transition, then CRRA of the
-    # balance, differentiated through every block with respect to W.
+    # balance, its slope with respect to W chained from the block slopes.
     rng = np.random.default_rng(seed)
     w0 = rng.uniform(0.0, 800_000.0, size=5)
     Q = rng.uniform(0.8, 1.5, size=5)
     R = rng.normal(0.03, 0.1, size=5)
     params = UtilityParams(rho=5.0, wealth_unit=500_000.0)
+    fee_rate = AccountParams().fee_rate
 
     def terms(w):
         A = age_pension(w, Q)
         nxt = transition_balance(w, A, 0.06 * (w + A), fees(w, Q), R)
         return consumption_utility(nxt + 1.0, params)
+
+    def chained_slope(w):
+        A, dA = age_pension(w, Q, slope=True)
+        nxt, s = transition_balance(w, A, 0.06 * (w + A), fees(w, Q), R,
+                                    slope=True)
+        _, du = consumption_utility(nxt + 1.0, params, slope=True)
+        return du * s * ((1.0 + dA) * (1.0 - 0.06) - fee_rate)
 
     def own_term_fd(h):
         # Paths are independent, so each path's slope is differenced on its
@@ -201,16 +168,7 @@ def test_composite_expression_matches_fd(seed):
         return np.array([numeric_grad(lambda x: terms(x)[i], w0, h)[i]
                          for i in range(len(w0))])
 
-    w = Tensor(w0)
-    terms(w).sum().backward()
+    got = chained_slope(w0)
     fd1, fd2 = own_term_fd(1.0), own_term_fd(0.5)
     smooth = np.abs(fd1 - fd2) <= 1e-6 * np.abs(fd2)   # no kink in reach
-    assert np.allclose(w.grad[smooth], fd2[smooth], rtol=1e-5, atol=1e-20)
-
-
-def test_mean_and_division_by_tensor():
-    # At rho = 2 the CRRA node is a division: -8 u(x) = 8 / x.
-    x = Tensor(np.array([1.0, 3.0]))
-    y = (-8.0 * consumption_utility(x, UtilityParams(rho=2.0))).mean()
-    y.backward()
-    assert np.allclose(x.grad, -8.0 / x.value ** 2 / 2)
+    assert np.allclose(got[smooth], fd2[smooth], rtol=1e-5, atol=1e-20)

@@ -3,6 +3,7 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +45,16 @@ def test_calibrate_bundled_history(tmp_path, capsys):
     assert "calibrate" in (tmp_path / "config_used.ini").read_text()
     out = capsys.readouterr().out
     assert "25 coefficients" in out
+
+
+def test_calibrate_config_used_names_no_checkout_path(tmp_path):
+    # Two checkouts of one commit write the same config_used.ini: the
+    # bundled history goes by its file name.
+    import superdraw
+    assert run(["calibrate", "--out", tmp_path]) == 0
+    text = (tmp_path / "config_used.ini").read_text()
+    assert str(Path(superdraw.__file__).resolve().parent) not in text
+    assert "history = au_history_1992_2020.csv" in text.splitlines()
 
 
 def test_calibrate_missing_column(tmp_path, capsys):
@@ -318,6 +329,31 @@ def test_evaluate_rejects_mismatched_normalization(trained_run, tmp_path,
                 *extra, "--out", out]) == 2
     assert not (out / "demo_path.csv").exists()
     assert not list(out.glob("*.csv"))
+
+
+def test_evaluate_rejects_numbered_checkpoints_of_another_run(tmp_path,
+                                                             capsys):
+    # Two runs into one --out: w0 = 500k (40 iterations, every 10), then
+    # w0 = 300k (20, every 20). Checkpoints 10, 30 and 40 are left over
+    # from the 500k run and must not be scored under the 300k config.
+    first = write_config(tmp_path / "a.ini", TINY_TRAIN.replace(
+        "iterations = 25", "iterations = 40\ncheckpoint_every = 10")
+        + "w0 = 500000\n")
+    second = write_config(tmp_path / "b.ini", TINY_TRAIN.replace(
+        "iterations = 25", "iterations = 20\ncheckpoint_every = 20")
+        + "w0 = 300000\n")
+    out = tmp_path / "run"
+    assert run(["train", "--config", first, "--out", out]) == 0
+    assert run(["train", "--config", second, "--out", out]) == 0
+    ckpts = out / "checkpoints"
+    assert sorted(f.name for f in ckpts.glob("checkpoint_0*.npz")) == [
+        f"checkpoint_{i:06d}.npz" for i in (0, 10, 20, 30, 40)]
+    capsys.readouterr()
+    ev = tmp_path / "eval"
+    assert run(["evaluate", "--config", second, "--checkpoint", ckpts,
+                "--m-test", 10, "--out", ev]) == 2
+    assert "checkpoint_000010.npz" in capsys.readouterr().err
+    assert not list(ev.glob("*.csv"))
 
 
 # ---------------------------------------------------------------- demo-path

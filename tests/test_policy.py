@@ -3,12 +3,11 @@ import pytest
 
 from oracles import sigmoid_oracle
 from superdraw import policy
-from superdraw.autodiff import Tensor
 from superdraw.errors import ConfigError, DataError
-from superdraw.policy import (PARAM_FIELDS, ForwardTape, MlpParams,
-                              PolicyNorm, backward, he_init, lift,
-                              load_checkpoint, normalized_inputs,
-                              policy_fraction, save_checkpoint)
+from superdraw.policy import (PARAM_FIELDS, MlpParams, PolicyNorm,
+                              fraction_backward, he_init, load_checkpoint,
+                              normalized_inputs, policy_fraction,
+                              save_checkpoint)
 
 NORM = PolicyNorm(horizon=41.0, wealth_scale=500_000.0)
 
@@ -22,12 +21,23 @@ def some_input(W=400_000.0):
     return (3.0, W, 0.05, 1.1)
 
 
-def consumption(params, inp, w_plus_a):
-    """Consumption of one state on a tape; returns (consumption, tape)."""
-    p = lift(params)
+def plain(params):
+    return {n: getattr(params, n) for n in PARAM_FIELDS}
+
+
+def zero_grads(params):
+    return {n: np.zeros_like(getattr(params, n)) for n in PARAM_FIELDS}
+
+
+def consumption(params, inp, w_plus_a, seed=1.0):
+    """Consumption of one state and the weight gradient of seed times it;
+    returns (consumption, MlpParams of gradients)."""
+    w = plain(params)
     x = normalized_inputs(*(np.array([v]) for v in inp), NORM)
-    c = policy_fraction(p, x) * w_plus_a
-    return float(c.value[0]), ForwardTape(output=c, params=p)
+    frac, layers = policy_fraction(w, x)
+    grads = zero_grads(params)
+    fraction_backward(w, layers, frac, np.array([seed * w_plus_a]), grads)
+    return float(frac[0] * w_plus_a), MlpParams(**grads)
 
 
 def test_he_init_deterministic():
@@ -95,16 +105,13 @@ def test_forward_deterministic():
 
 
 def test_backward_simple_square():
-    # The tape machinery on a scalar: f = c^2 has df/dc = 2c.
+    # The backward pass on a scalar: f = c^2 has df/dc = 2c.
     p = small_params(4)
-    c, tape = consumption(p, some_input(), 200_000.0)
-    sq = tape.output * tape.output
-    sq.backward()
-    g_sq = {n: tape.params[n].grad.copy() for n in PARAM_FIELDS}
-    _, tape2 = consumption(p, some_input(), 200_000.0)
-    g_lin = backward(tape2)
+    c, g_lin = consumption(p, some_input(), 200_000.0)
+    _, g_sq = consumption(p, some_input(), 200_000.0, seed=2.0 * c)
     for n in PARAM_FIELDS:
-        assert np.allclose(g_sq[n], 2.0 * c * getattr(g_lin, n), rtol=1e-12)
+        assert np.allclose(getattr(g_sq, n), 2.0 * c * getattr(g_lin, n),
+                           rtol=1e-12)
 
 
 def relu_signature(p, inp, wpa):
@@ -131,8 +138,7 @@ def test_backward_matches_finite_differences():
         inp = (float(rng.integers(0, 41)), float(rng.uniform(1e3, 1e6)),
                float(rng.normal(0, 0.15)), float(rng.uniform(0.8, 2.5)))
         wpa = float(rng.uniform(1e3, 1e6))
-        _, tape = consumption(p, inp, wpa)
-        grads = backward(tape)
+        _, grads = consumption(p, inp, wpa)
         name = PARAM_FIELDS[trial % len(PARAM_FIELDS)]
         arr = getattr(p, name)
         i = int(rng.integers(arr.shape[0]))
@@ -196,28 +202,27 @@ def test_network_node_matches_fd_with_dead_units():
     x0 = np.vstack([rng.uniform(0, 1, 7), rng.uniform(0, 2, 7),
                     rng.normal(0, 0.15, 7), rng.uniform(0.8, 2.5, 7)])
     seed = rng.normal(size=7)
-    taped = {n: Tensor(getattr(p, n)) for n in PARAM_FIELDS}
-    x = Tensor(x0)
-    (policy.policy_fraction(taped, x) * seed).sum().backward()
+    frac, layers = policy.policy_fraction(plain(p), x0)
+    grads = zero_grads(p)
+    x_grad = fraction_backward(plain(p), layers, frac, seed, grads)
 
     def f(q, xv=x0):
-        plain = {n: getattr(q, n) for n in PARAM_FIELDS}
-        return float(policy.policy_fraction(plain, xv) @ seed)
+        return float(policy.policy_fraction(plain(q), xv)[0] @ seed)
 
-    assert np.all(taped["w0"].grad[[1, 4]] == 0.0)
-    assert np.all(taped["w1"].grad[:, [1, 4]] == 0.0)
-    assert np.all(taped["w1"].grad[2] == 0.0)
-    assert np.all(taped["w2"].grad[:, 2] == 0.0)
+    assert np.all(grads["w0"][[1, 4]] == 0.0)
+    assert np.all(grads["w1"][:, [1, 4]] == 0.0)
+    assert np.all(grads["w1"][2] == 0.0)
+    assert np.all(grads["w2"][:, 2] == 0.0)
     h = 1e-6
     for name in PARAM_FIELDS:
         arr = getattr(p, name)
         for i, j in np.ndindex(arr.shape):
             fd = (f(policy.perturb(p, name, i, j, h))
                   - f(policy.perturb(p, name, i, j, -h))) / (2.0 * h)
-            assert taped[name].grad[i, j] == pytest.approx(
+            assert grads[name][i, j] == pytest.approx(
                 fd, rel=1e-5, abs=1e-9), (name, i, j)
     for i, j in np.ndindex(x0.shape):
         step = np.zeros_like(x0)
         step[i, j] = h
         fd = (f(p, x0 + step) - f(p, x0 - step)) / (2.0 * h)
-        assert x.grad[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+        assert x_grad[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-9)

@@ -2,16 +2,19 @@
 
 The rollout engine is checked three ways: against a plain-float single-path
 evaluator (tests/oracles.py), against the utility module on recorded paths,
-and tensor mode against numpy mode with identical weights. Gradients of the
-full multi-year recursion are checked against central finite differences
-with kink-adjacent coordinates excluded by a two-step-size consistency
-filter.
+and the training objective against numpy mode with identical weights.
+Gradients of the full multi-year recursion (the adjoint sweep) are checked
+against central finite differences with kink-adjacent coordinates excluded
+by a two-step-size consistency filter.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from oracles import straight_line_objective
+from superdraw.account import AccountParams
 from superdraw.errors import ConfigError, NumericError
 from superdraw.mortality import load_life_table, survival_curve
 from superdraw.policy import (PARAM_FIELDS, backward, he_init, load_checkpoint,
@@ -95,8 +98,7 @@ def test_tensor_mode_equals_numpy_mode():
     panel = synthetic_panel(6, cfg.horizon, seed=5)
     params = he_init(seed=2)
     obj, _ = batch_objective(params, panel.R, panel.Q, curve, cfg)
-    plain = {n: getattr(params, n) for n in PARAM_FIELDS}
-    total, _ = rollout_consume(policy_consumer(plain, cfg.norm()),
+    total, _ = rollout_consume(policy_consumer(params, cfg.norm()),
                                panel, curve, cfg)
     assert float(obj.value) == pytest.approx(total.mean(), rel=1e-13)
 
@@ -151,40 +153,64 @@ def fd_gradient(f, params, name, i, j, h):
     return (hi - lo) / (2.0 * h)
 
 
+def _bptt_inputs():
+    """(label, cfg, panel) for the gradient check: the base desk utility,
+    no bequest motive, and a path that reaches the depletion floor.
+
+    With a bequest motive a depleted path's objective is dominated by
+    v(floor), about -4e60, and finite differences drown in its rounding;
+    the depleted input therefore has phi = 0. A crash in year 1 and a large
+    admin fee take it to the floor in year 2, where it stays.
+    """
+    base = small_config(horizon=3, m_train=1, batch_size=1)
+    no_bequest = dataclasses.replace(base, utility=UtilityParams(phi=0.0))
+    crash = synthetic_panel(1, 3, seed=21)
+    crash.R[0, 1] = -4.0
+    return [("bequest", base, synthetic_panel(1, 3, seed=21)),
+            ("no_bequest", no_bequest, synthetic_panel(1, 3, seed=21)),
+            ("depleted", dataclasses.replace(
+                no_bequest, account=AccountParams(admin_fee=20_000.0)),
+             crash)]
+
+
 def test_bptt_gradient_matches_finite_differences():
-    cfg = small_config(horizon=3, m_train=1, batch_size=1)
-    curve = cfg.curve()
-    panel = synthetic_panel(1, 3, seed=21)
     params = he_init(seed=8)
+    for label, cfg, panel in _bptt_inputs():
+        curve = cfg.curve()
+        _, rec = rollout_consume(policy_consumer(params, cfg.norm()), panel,
+                                 curve, cfg, record=True)
+        depleted_at = np.flatnonzero(rec.wealth[0] == 0.0)
+        assert list(depleted_at) == ([2, 3] if label == "depleted" else [])
 
-    def value(p):
-        return rollout(p, panel, 0, cfg, curve=curve)[0]
+        def value(p):
+            return rollout(p, panel, 0, cfg, curve=curve)[0]
 
-    _, tape = rollout(params, panel, 0, cfg, curve=curve)
-    grads = backward(tape)
+        _, tape = rollout(params, panel, 0, cfg, curve=curve)
+        grads = backward(tape)
 
-    rng = np.random.default_rng(17)
-    checked = 0
-    skipped = 0
-    for _ in range(120):
-        name = PARAM_FIELDS[rng.integers(len(PARAM_FIELDS))]
-        arr = getattr(params, name)
-        i = int(rng.integers(arr.shape[0]))
-        j = int(rng.integers(arr.shape[1])) if arr.ndim == 2 else 0
-        h = 1e-4
-        fd1 = fd_gradient(value, params, name, i, j, h)
-        fd2 = fd_gradient(value, params, name, i, j, h / 2.0)
-        # Two-step-size agreement filters out coordinates whose FD stencil
-        # straddles a ReLU, means-test, or depletion kink.
-        if abs(fd1 - fd2) > 1e-3 * max(1.0, abs(fd2)):
-            skipped += 1
-            continue
-        got = getattr(grads, name)[i, j] if arr.ndim == 2 else \
-            getattr(grads, name)[i]
-        denom = max(abs(fd2), 1e-6)
-        assert abs(got - fd2) / denom < 1e-4, (name, i, j, got, fd2)
-        checked += 1
-    assert checked >= 60, (checked, skipped)
+        rng = np.random.default_rng(17)
+        checked = 0
+        skipped = 0
+        for _ in range(120):
+            name = PARAM_FIELDS[rng.integers(len(PARAM_FIELDS))]
+            arr = getattr(params, name)
+            i = int(rng.integers(arr.shape[0]))
+            j = int(rng.integers(arr.shape[1])) if arr.ndim == 2 else 0
+            h = 1e-4
+            fd1 = fd_gradient(value, params, name, i, j, h)
+            fd2 = fd_gradient(value, params, name, i, j, h / 2.0)
+            # Two-step-size agreement filters out coordinates whose FD
+            # stencil straddles a ReLU, means-test, or depletion kink.
+            if abs(fd1 - fd2) > 1e-3 * max(1.0, abs(fd2)):
+                skipped += 1
+                continue
+            got = getattr(grads, name)[i, j] if arr.ndim == 2 else \
+                getattr(grads, name)[i]
+            denom = max(abs(fd2), 1e-6)
+            assert abs(got - fd2) / denom < 1e-4, (label, name, i, j, got,
+                                                   fd2)
+            checked += 1
+        assert checked >= 60, (label, checked, skipped)
 
 
 # --------------------------------------------------------------------- adam
@@ -286,8 +312,7 @@ def test_trained_policy_respects_constraints():
     params, _ = train(cfg)
     curve = cfg.curve()
     panel = synthetic_panel(50, cfg.horizon, seed=99)
-    plain = {n: getattr(params, n) for n in PARAM_FIELDS}
-    total, rec = rollout_consume(policy_consumer(plain, cfg.norm()), panel,
+    total, rec = rollout_consume(policy_consumer(params, cfg.norm()), panel,
                                  curve, cfg, record=True)
     from superdraw.account import age_pension
     assert np.all(rec.consumption >= 0.0)
@@ -377,13 +402,13 @@ def _tape_nodes(root):
 
 
 def test_tape_stays_coarse():
-    # Each simulated year records a few block nodes (network, pension, fee,
-    # transition, utilities) and the sums and products joining them.
+    # The objective is one root node over the eight weight leaves; the
+    # simulated years live in the sweep, not in a graph.
     cfg = small_config(horizon=41, m_train=8, batch_size=8)
     panel = synthetic_panel(8, 41, seed=3)
     obj, _ = batch_objective(he_init(seed=1), panel.R, panel.Q,
                              cfg.curve(), cfg)
-    assert _tape_nodes(obj) <= 30 * (cfg.horizon + 1)
+    assert _tape_nodes(obj) == len(PARAM_FIELDS) + 1
 
 
 def test_effective_utility_rescales_default_unit():
