@@ -26,7 +26,6 @@ __all__ = [
     "PensionParams",
     "AccountParams",
     "age_pension",
-    "asset_test_cutoff",
     "fees",
     "transition_balance",
 ]
@@ -110,12 +109,6 @@ def age_pension(W, Q, params: PensionParams = PensionParams(),
     d_income = -p.tau_i * d_deemed * ((over_income > 0) & (a_income_raw > 0))
     return value, d_asset * (a_asset < a_income) \
         + d_income * (a_income < a_asset)
-
-
-def asset_test_cutoff(params: PensionParams = PensionParams()) -> float:
-    """Base-year wealth at which the asset test extinguishes the pension."""
-    p = params
-    return p.w_a + p.a_max / (p.fortnights_per_year * p.tau_a)
 
 
 def fees(W, Q, params: AccountParams = AccountParams()):

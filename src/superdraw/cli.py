@@ -35,6 +35,7 @@ from .evaluator import (POLICY_LABEL, compare, evaluate_policy,
                         write_utilities_csv)
 from .policy import load_checkpoint
 from .trainer import TrainConfig, TrainingAborted, train
+from .utility import UtilityParams
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -47,13 +48,12 @@ _TRAIN_KEYS = {
     "learning_rate": float, "log_every": int, "checkpoint_every": int,
     "life_table": str,
 }
-_UTILITY_KEYS = {"rho": float, "phi": float, "floor_epsilon": float,
-                 "wealth_unit": float}
-_PENSION_KEYS = {"a_max": float, "w_a": float, "tau_a": float,
-                 "income_free": float, "w_i": float, "r1": float, "r2": float,
-                 "tau_i": float, "fortnights_per_year": int}
-_ACCOUNT_KEYS = {"omega": float, "admin_fee": float,
-                 "indirect_cost_ratio": float, "investment_fee": float}
+# Sections read into the TrainConfig field of the same name.
+_PARAM_SECTIONS = {"utility": UtilityParams, "pension": PensionParams,
+                   "account": AccountParams}
+_PARAM_KEYS = {name: {f.name: type(f.default)
+                      for f in dataclasses.fields(cls)}
+               for name, cls in _PARAM_SECTIONS.items()}
 _EVALUATE_KEYS = {"m_test": int, "test_seed": int}
 _SIMULATE_KEYS = {"m": int, "t": int}
 _ESG_KEYS = {"params_file": str,
@@ -106,14 +106,11 @@ def build_train_config(cp, seed_override: int | None = None) -> TrainConfig:
     """TrainConfig from a parsed INI file; flags win over file values."""
     t = _section(cp, "train", _TRAIN_KEYS)
     life_table = t.pop("life_table", None)
-    u = _section(cp, "utility", _UTILITY_KEYS)
-    p = _section(cp, "pension", _PENSION_KEYS)
-    a = _section(cp, "account", _ACCOUNT_KEYS)
     if seed_override is not None:
         t["seed"] = seed_override
-    from .utility import UtilityParams
-    return TrainConfig(utility=UtilityParams(**u), pension=PensionParams(**p),
-                       account=AccountParams(**a), esg=_esg_params(cp),
+    params = {name: cls(**_section(cp, name, _PARAM_KEYS[name]))
+              for name, cls in _PARAM_SECTIONS.items()}
+    return TrainConfig(**params, esg=_esg_params(cp),
                        life_table_path=life_table, **t)
 
 
@@ -126,9 +123,9 @@ def _echo_config(cfg: TrainConfig, out_dir: Path, extra: dict | None = None):
                    for k, v in train_values.items()}
     if cfg.life_table_path:
         cp["train"]["life_table"] = str(cfg.life_table_path)
-    cp["utility"] = {k: repr(getattr(cfg.utility, k)) for k in _UTILITY_KEYS}
-    cp["pension"] = {k: repr(getattr(cfg.pension, k)) for k in _PENSION_KEYS}
-    cp["account"] = {k: repr(getattr(cfg.account, k)) for k in _ACCOUNT_KEYS}
+    for name in _PARAM_SECTIONS:
+        cp[name] = {k: repr(getattr(getattr(cfg, name), k))
+                    for k in _PARAM_KEYS[name]}
     cp["esg"] = {f.name: repr(getattr(cfg.esg, f.name))
                  for f in dataclasses.fields(EsgParams)}
     if extra:

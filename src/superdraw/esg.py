@@ -10,7 +10,7 @@ q -> S -> e -> n -> b -> o -> h.
 The seven conditional-mean equations are written once, in the `_MEANS`
 table; `simulate` also writes the compound inflation deflator Q.
 
-The module covers three jobs: stepping/simulating the model with one
+The module covers three jobs: simulating the model with one
 counter-based random stream per path, refitting the coefficients from an
 annual historical index table by per-equation OLS, and residual diagnostics
 for the fit.
@@ -19,7 +19,6 @@ for the fit.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -33,13 +32,11 @@ _DATA_DIR = Path(__file__).resolve().parent / "data"
 __all__ = [
     "EsgParams",
     "EconState",
-    "ShockVector",
     "HistoricalSeries",
     "ScenarioPanel",
     "DEFAULT_PARAMS",
     "bundled_history_path",
     "stationary_state",
-    "step_esg",
     "simulate",
     "portfolio_return",
     "calibrate",
@@ -125,19 +122,6 @@ class EconState:
     @property
     def s(self) -> float:
         return self.S + self.q
-
-
-@dataclass(frozen=True)
-class ShockVector:
-    """Already-scaled residuals (sigma times a standard-normal draw)."""
-
-    eps_q: float = 0.0
-    eps_S: float = 0.0
-    eps_e: float = 0.0
-    eps_n: float = 0.0
-    eps_b: float = 0.0
-    eps_o: float = 0.0
-    eps_h: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -256,15 +240,6 @@ def _cascade(params: EsgParams, lag: dict, shocks) -> dict:
     return cur
 
 
-def step_esg(params: EsgParams, prev: EconState, shocks: ShockVector) -> EconState:
-    """Advance the model one year. Shocks are the scaled residuals."""
-    lag = {k: getattr(prev, k) for k in _FACTORS}
-    eps = [getattr(shocks, "eps_" + k) for k in _FACTORS]
-    if not all(math.isfinite(v) for v in [*lag.values(), *eps]):
-        raise NumericError("non-finite state or shock")
-    return EconState(**_cascade(params, lag, eps))
-
-
 def portfolio_return(state: EconState, omega: float) -> float:
     """Balanced-portfolio return: omega in growth, 1-omega in defensive."""
     if not 0.0 <= omega <= 1.0:
@@ -314,6 +289,8 @@ def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
     cols = {k: np.empty((M, T + 1)) for k in _FACTORS}
     for k in _FACTORS:
         cols[k][:, 0] = getattr(initial, k)
+    if not all(np.isfinite(cols[k][:, 0]).all() for k in _FACTORS):
+        raise NumericError("non-finite initial state")
     for t in range(1, T + 1):
         year = _cascade(params, {k: cols[k][:, t - 1] for k in _FACTORS},
                         eps[:, t - 1, :].T)

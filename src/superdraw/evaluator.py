@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .esg import ScenarioPanel
 from .mortality import SurvivalCurve
 from .policy import MlpParams
-from .trainer import (PathRecords, TrainConfig, policy_consumer,
+from .trainer import (PathRecords, TrainConfig, network_consumer,
                       rollout_consume)
 
 __all__ = [
@@ -52,7 +52,6 @@ class EvalReport:
     utilities: dict          # label -> (M,) realized utilities
     outperformance: dict     # strategy label -> count of strict wins
     diffs: dict              # strategy label -> U_policy - U_strategy
-    config: TrainConfig
     records: dict = field(default_factory=dict)  # label -> PathRecords
 
     @property
@@ -83,29 +82,18 @@ def evaluate_policy(params: MlpParams, panel: ScenarioPanel,
                     curve: SurvivalCurve, cfg: TrainConfig,
                     record: bool = False):
     """Per-path utilities of the network policy on a panel, numpy mode."""
-    return rollout_consume(policy_consumer(params, cfg.norm()),
+    return rollout_consume(network_consumer(params, cfg.norm()),
                            panel, curve, cfg, record=record)
 
 
 def compare(params: MlpParams, strategies, panel: ScenarioPanel,
-            cfg: TrainConfig, curve: SurvivalCurve | None = None,
-            record: bool = False,
-            policy_consume=None) -> EvalReport:
-    """Evaluate the policy and each strategy on the same panel.
-
-    `policy_consume` substitutes an arbitrary rule for the network (used by
-    tests and by self-comparisons); it must follow the engine's
-    consume(t, W, A, R, Q) protocol.
-    """
-    if curve is None:
-        curve = cfg.curve()
+            cfg: TrainConfig, curve: SurvivalCurve,
+            record: bool = False) -> EvalReport:
+    """Evaluate the policy and each strategy on the same panel."""
     if curve.horizon != panel.T:
         raise ConfigError("panel horizon does not match survival curve")
-    if policy_consume is None:
-        policy_consume = policy_consumer(params, cfg.norm())
     utilities, outperf, diffs, records = {}, {}, {}, {}
-    u_pol, rec = rollout_consume(policy_consume, panel, curve, cfg,
-                                 record=record)
+    u_pol, rec = evaluate_policy(params, panel, curve, cfg, record=record)
     utilities[POLICY_LABEL] = u_pol
     if record:
         records[POLICY_LABEL] = rec
@@ -117,7 +105,7 @@ def compare(params: MlpParams, strategies, panel: ScenarioPanel,
         if record:
             records[kind.value] = rec_s
     return EvalReport(utilities=utilities, outperformance=outperf,
-                      diffs=diffs, config=cfg, records=records)
+                      diffs=diffs, records=records)
 
 
 def outperformance_curve(snapshots, strategies, panel: ScenarioPanel,

@@ -27,7 +27,6 @@ __all__ = [
     "load_life_table",
     "projected_qx",
     "survival_curve",
-    "life_expectancy",
 ]
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -159,10 +158,3 @@ def survival_curve(table: LifeTable, gender: str, x: int, T: int) -> SurvivalCur
         dq[t] = tpx[t - 1] * q
         tpx[t] = tpx[t - 1] * (1.0 - q)
     return SurvivalCurve(x=x, gender=gender, tpx=tpx, dq=dq)
-
-
-def life_expectancy(table: LifeTable, gender: str, age: int) -> float:
-    """Complete expectation of life at `age`, improvement included."""
-    T = table.terminal_age + 1 - age
-    curve = survival_curve(table, gender, age, T)
-    return age + 0.5 + float(curve.tpx[1:].sum())

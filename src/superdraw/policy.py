@@ -73,12 +73,6 @@ class MlpParams:
     def widths(self):
         return (self.w0.shape[0], self.w1.shape[0], self.w2.shape[0])
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(**{n: getattr(self, n).copy() for n in PARAM_FIELDS})
-
-    def map(self, fn) -> "MlpParams":
-        return MlpParams(**{n: fn(getattr(self, n)) for n in PARAM_FIELDS})
-
     def allclose(self, other: "MlpParams", **kw) -> bool:
         return all(np.allclose(getattr(self, n), getattr(other, n), **kw)
                    for n in PARAM_FIELDS)
@@ -205,11 +199,3 @@ def load_checkpoint(path):
     except KeyError as exc:
         raise DataError(f"{path}: missing checkpoint field {exc}") from None
     return params, norm, meta
-
-
-def perturb(params: MlpParams, name: str, i: int, j: int,
-            delta: float) -> MlpParams:
-    """Copy of `params` with one entry nudged; used by gradient checks."""
-    out = params.copy()
-    getattr(out, name)[i, j] += delta
-    return out

@@ -48,7 +48,7 @@ __all__ = [
     "adam_step",
     "rollout",
     "rollout_consume",
-    "policy_consumer",
+    "network_consumer",
     "PathRecords",
     "train",
 ]
@@ -158,8 +158,8 @@ class PathRecords:
 # ------------------------------------------------------------------ rollout
 
 
-def policy_consumer(params: MlpParams, norm: PolicyNorm,
-                    kept: list | None = None):
+def network_consumer(params: MlpParams, norm: PolicyNorm,
+                     kept: list | None = None):
     """Consumption rule driven by the network.
 
     With `kept` a list, each call appends the year's resources W + A and
@@ -286,7 +286,7 @@ def batch_objective(params: MlpParams, R: np.ndarray, Q: np.ndarray,
     panel columns R and Q, as a root node whose `backward` runs `_sweep`
     into the eight weight leaves."""
     net, years = [], []
-    total, _ = _rollout_engine(policy_consumer(params, cfg.norm(), net), R,
+    total, _ = _rollout_engine(network_consumer(params, cfg.norm(), net), R,
                                Q, curve, cfg, kept=years)
     p = {n: Tensor(getattr(params, n)) for n in PARAM_FIELDS}
     obj = Tensor(total.mean(), list(p.values()), lambda: _sweep(
@@ -295,14 +295,12 @@ def batch_objective(params: MlpParams, R: np.ndarray, Q: np.ndarray,
 
 
 def rollout(params: MlpParams, panel: ScenarioPanel, m: int,
-            cfg: TrainConfig, curve: SurvivalCurve | None = None):
+            cfg: TrainConfig, curve: SurvivalCurve):
     """Objective term of one path under the policy; returns (value, tape).
 
     `policy.backward` on the tape, the objective's root node, yields the
     gradient of this path's realized utility w.r.t. every weight.
     """
-    if curve is None:
-        curve = cfg.curve()
     obj, _ = batch_objective(params, panel.R[[m]], panel.Q[[m]], curve, cfg)
     return float(obj.value), obj
 

@@ -1,4 +1,4 @@
-"""CRRA consumption utility, bequest utility, and lifetime aggregation.
+"""CRRA consumption utility and bequest utility.
 
 Utilities are computed on real (deflated) dollars divided by `wealth_unit`.
 The default unit of 1.0 evaluates in raw dollars; training sets the unit to
@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .mortality import SurvivalCurve
+from .errors import ConfigError
 
 __all__ = [
     "UtilityParams",
     "consumption_utility",
     "bequest_utility",
     "bequest_coefficient",
-    "lifetime_utility",
 ]
 
 
@@ -89,21 +87,3 @@ def bequest_utility(w, params: UtilityParams = UtilityParams(),
         return coeff * _crra(w, params)
     value, du = _crra(w, params, slope=True)
     return coeff * value, coeff * du
-
-
-def lifetime_utility(c_path, w_path, curve: SurvivalCurve,
-                     params: UtilityParams = UtilityParams()) -> float:
-    """Mortality-weighted total utility of one realized path (real dollars).
-
-    Sums tpx[t] * u(c_t) + dq[t] * v(w_t) over t = 0..T; the death weight at
-    t = 0 is zero by construction of the curve.
-    """
-    c = np.asarray(c_path, dtype=float)
-    w = np.asarray(w_path, dtype=float)
-    if c.shape != w.shape or len(c) != len(curve.tpx):
-        raise DataError(f"path lengths {c.shape}/{w.shape} do not match "
-                        f"curve horizon {curve.horizon}")
-    total = float(np.sum(curve.tpx * consumption_utility(c, params)))
-    if params.phi > 0.0:
-        total += float(np.sum(curve.dq * bequest_utility(w, params)))
-    return total

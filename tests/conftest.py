@@ -6,6 +6,7 @@ import pytest
 
 import superdraw
 from superdraw import esg
+from superdraw.policy import PARAM_FIELDS, MlpParams
 
 # Command tests run `python -m superdraw.cli` in a subprocess; it imports the
 # same package as the tests, installed or from a checkout's src/.
@@ -35,6 +36,18 @@ def history_from_panel(panel: esg.ScenarioPanel, year0=1900):
     return history_from_factors(
         year0, panel.q[m], panel.s[m] - panel.q[m], panel.e[m], panel.n[m],
         panel.b[m], panel.o[m], panel.h[m])
+
+
+def map_params(params, fn):
+    """MlpParams with `fn` applied to every weight array."""
+    return MlpParams(**{n: fn(getattr(params, n)) for n in PARAM_FIELDS})
+
+
+def perturb(params, name: str, i: int, j: int, delta: float):
+    """Copy of `params` with one entry nudged; used by gradient checks."""
+    out = map_params(params, np.copy)
+    getattr(out, name)[i, j] += delta
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,14 @@
 """Independent reference implementations used only by the test suite.
 
 These deliberately avoid the library's formula code: the pension oracle
-enumerates every means-test branch with explicit conditionals, and the
-straight-line evaluator walks one path with plain floats and no tape.
+enumerates every means-test branch with explicit conditionals, the
+straight-line evaluator walks one path with plain floats, and the ESG-year
+oracle writes out the seven model equations itself.
 """
 
 import numpy as np
+
+from superdraw.errors import DataError
 
 
 def pension_oracle(W, Q, p):
@@ -37,9 +40,14 @@ def pension_oracle(W, Q, p):
     return a_asset if a_asset < a_income else a_income
 
 
+def asset_test_cutoff_oracle(p):
+    """Base-year wealth at which the asset test extinguishes the pension."""
+    return p.w_a + p.a_max / (p.fortnights_per_year * p.tau_a)
+
+
 def straight_line_objective(consumptions, W0, pension_params, account_params,
                             utility_params, curve, returns, inflations):
-    """Objective of one path computed with plain floats, no tape, no vectors.
+    """Objective of one path computed with plain floats and no vectors.
 
     `consumptions` maps (t, wealth, pension) -> nominal consumption;
     `returns[t]` and `inflations[t]` are the portfolio return and inflation
@@ -67,6 +75,48 @@ def straight_line_objective(consumptions, W0, pension_params, account_params,
             W = balance * np.exp(returns[t + 1])
             Q = Q * np.exp(inflations[t + 1])
     return total
+
+
+def lifetime_utility_oracle(c_path, w_path, curve, params):
+    """Mortality-weighted total utility of one realized path (real dollars).
+
+    Sums tpx[t] * u(c_t) + dq[t] * v(w_t) over t = 0..T; the death weight at
+    t = 0 is zero by construction of the curve.
+    """
+    from superdraw.utility import bequest_utility, consumption_utility
+
+    c = np.asarray(c_path, dtype=float)
+    w = np.asarray(w_path, dtype=float)
+    if c.shape != w.shape or len(c) != len(curve.tpx):
+        raise DataError(f"path lengths {c.shape}/{w.shape} do not match "
+                        f"curve horizon {curve.horizon}")
+    total = float(np.sum(curve.tpx * consumption_utility(c, params)))
+    if params.phi > 0.0:
+        total += float(np.sum(curve.dq * bequest_utility(w, params)))
+    return total
+
+
+def esg_year_oracle(p, prev, eps, omega=0.7):
+    """One year of the seven-factor model for scalar factors.
+
+    `prev` maps q, S, e, n, b, o, h to last year's values and `eps` holds
+    this year's scaled shocks in that order. Each equation is written out
+    with the fresh same-year values it reads. Returns this year's factors
+    plus the nominal short rate s = S + q and the portfolio return R.
+    """
+    eq, eS, ee, en, eb, eo, eh = eps
+    q = (1.0 - p.phi_q) * p.mu_q + p.phi_q * prev["q"] + eq
+    S = p.phi_S * prev["S"] + (1.0 - p.phi_S) * (p.mu_S - p.mu_q) + eS
+    e = (1.0 - p.phi_e) * p.mu_e + p.phi_e * prev["e"] + ee
+    n = p.psi_n0 + p.psi_n1 * prev["n"] + p.psi_n2 * e + en
+    b = p.psi_b0 + p.psi_b1 * prev["b"] + p.psi_b2 * n + eb
+    o = p.psi_o0 + p.psi_o1 * e + p.psi_o2 * n + eo
+    h = p.psi_h0 + p.psi_h1 * q + p.psi_h2 * b + eh
+    s = S + q
+    growth = 0.5 * e + 0.3 * n + 0.2 * h
+    defensive = 0.3 * s + 0.5 * b + 0.2 * o
+    R = omega * growth + (1.0 - omega) * defensive
+    return dict(q=q, S=S, e=e, n=n, b=b, o=o, h=h, s=s, R=R)
 
 
 def path_shocks_oracle(params, seed, m, T):

@@ -17,15 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import record_criterion
-from oracles import pension_oracle
+from conftest import perturb, record_criterion
+from oracles import asset_test_cutoff_oracle, pension_oracle
 from superdraw import esg
-from superdraw.account import PensionParams, age_pension, asset_test_cutoff
+from superdraw.account import PensionParams, age_pension
 from superdraw.baselines import StrategyKind
 from superdraw.evaluator import compare, evaluate_policy, median_paths
 from superdraw.mortality import load_life_table, survival_curve
 from superdraw.policy import (PARAM_FIELDS, backward, he_init,
-                              load_checkpoint, perturb, save_checkpoint)
+                              load_checkpoint, save_checkpoint)
 from superdraw.trainer import TrainConfig, rollout, train
 from superdraw.utility import UtilityParams
 
@@ -96,7 +96,7 @@ def w1m_policy(desk_train_panel):
 @pytest.fixture(scope="session")
 def base_eval(base_policy, held_out_panel):
     return compare(base_policy.params, list(StrategyKind), held_out_panel,
-                   base_policy.cfg, record=True)
+                   base_policy.cfg, base_policy.cfg.curve(), record=True)
 
 
 def _policy_records(policy: TrainedPolicy, panel):
@@ -186,7 +186,7 @@ def test_criterion_2_pension_oracle(request):
     exact = np.array_equal(got, want)
 
     full_at_zero = age_pension(0.0, 1.0, p) == 24_619.0
-    cutoff = asset_test_cutoff(p)
+    cutoff = asset_test_cutoff_oracle(p)
     edges_ok = True
     for q in (1.0, 1.45, 2.3):
         edges_ok &= age_pension((cutoff + 1.0) * q, q, p) == 0.0

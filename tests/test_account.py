@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pension_oracle
+from oracles import asset_test_cutoff_oracle, pension_oracle
 from superdraw import esg
 from superdraw.account import (AccountParams, PensionParams, age_pension,
-                               asset_test_cutoff, fees, transition_balance)
+                               fees, transition_balance)
 from superdraw.errors import ConfigError
 
 P = PensionParams()
@@ -75,7 +75,7 @@ def test_pension_at_half_million_asset_tested():
 
 
 def test_pension_cutoff_value():
-    cut = asset_test_cutoff(P)
+    cut = asset_test_cutoff_oracle(P)
     assert cut == pytest.approx(578_878.205, abs=1e-3)
     assert age_pension(cut + 1.0, 1.0, P) == 0.0
     assert age_pension(cut - 1.0, 1.0, P) > 0.0
@@ -83,7 +83,7 @@ def test_pension_cutoff_value():
 
 def test_pension_scales_with_deflator():
     assert age_pension(0.0, 1.5, P) == pytest.approx(1.5 * 24_619.0)
-    cut = asset_test_cutoff(P)
+    cut = asset_test_cutoff_oracle(P)
     assert age_pension(2.0 * (cut + 1.0), 2.0, P) == 0.0
 
 

@@ -1,6 +1,7 @@
 """End-to-end command tests through the argparse entry point."""
 
 import csv
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -253,10 +254,11 @@ def _recount_outperformance(cfgp, ckpt_dir, m_test, seed):
     cfg = build_train_config(_read_ini(cfgp))
     panel = esg.simulate(cfg.esg, cfg.initial_econ_state(), m_test,
                          cfg.horizon, seed=seed, omega=cfg.account.omega)
+    curve = cfg.curve()
     rows = []
     for f in sorted(ckpt_dir.glob("checkpoint_0*.npz")):
         params, _, meta = load_checkpoint(f)
-        report = compare(params, list(StrategyKind), panel, cfg)
+        report = compare(params, list(StrategyKind), panel, cfg, curve)
         rows += [(meta["iteration"], k.value, report.outperformance[k.value])
                  for k in StrategyKind]
     return rows
@@ -269,8 +271,9 @@ def _evaluate_counting_rollouts(tmp_path, monkeypatch, final_is_last):
     `checkpoint_final.npz` is replaced by weights equal to none of them.
     The written curve must match a fresh `compare` per snapshot.
     """
+    from conftest import perturb
     from superdraw import trainer
-    from superdraw.policy import load_checkpoint, perturb, save_checkpoint
+    from superdraw.policy import load_checkpoint, save_checkpoint
     cfgp = write_config(tmp_path / "cfg.ini", TINY_TRAIN.replace(
         "iterations = 25", "iterations = 40\ncheckpoint_every = 10"))
     assert run(["train", "--config", cfgp, "--out", tmp_path / "run"]) == 0
@@ -416,6 +419,52 @@ mu_q = 0.05
     assert np.mean(qs) == pytest.approx(0.05, abs=0.01)
     echoed = (tmp_path / "config_used.ini").read_text()
     assert "mu_q = 0.05" in echoed
+
+
+# A non-default value for every field of the three parameter sections.
+SECTION_OVERRIDES = {
+    "utility": {"rho": 3.5, "phi": 0.25, "floor_epsilon": 1e-9,
+                "wealth_unit": 250_000.0},
+    "pension": {"a_max": 25_000.5, "w_a": 270_000.0, "tau_a": 0.0031,
+                "income_free": 4_600.0, "w_i": 52_000.0, "r1": 0.003,
+                "r2": 0.021, "tau_i": 0.45, "fortnights_per_year": 27},
+    "account": {"omega": 0.6, "admin_fee": 60.0,
+                "indirect_cost_ratio": 0.007, "investment_fee": 0.004},
+}
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--m", 3, "--t", 2],
+                                  ["train"]])
+def test_param_sections_reach_config_and_echo_back(tmp_path, monkeypatch,
+                                                   argv):
+    from superdraw import cli
+    from superdraw.trainer import TrainConfig
+    text = TINY_TRAIN
+    for name, values in SECTION_OVERRIDES.items():
+        text += f"[{name}]\n" + "".join(f"{k} = {v!r}\n"
+                                        for k, v in values.items())
+    cfgp = write_config(tmp_path / "cfg.ini", text)
+    built = []
+    real = cli.build_train_config
+
+    def keep(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_train_config", keep)
+    out = tmp_path / "out"
+    assert run([*argv, "--config", cfgp, "--out", out]) == 0
+    cfg = built[0]
+    echoed = real(cli._read_ini(out / "config_used.ini"))
+    default = TrainConfig()
+    for name, values in SECTION_OVERRIDES.items():
+        section = getattr(cfg, name)
+        assert set(values) == {f.name for f in dataclasses.fields(section)}
+        for key, value in values.items():
+            got = getattr(section, key)
+            assert got == value and type(got) is type(value), (name, key)
+            assert value != getattr(getattr(default, name), key)
+        assert getattr(echoed, name) == section
 
 
 def test_console_script_entry_point(tmp_path):

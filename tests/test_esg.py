@@ -5,13 +5,27 @@ import numpy as np
 import pytest
 
 from conftest import history_from_factors, history_from_panel
-from oracles import path_shocks_oracle
+from oracles import esg_year_oracle, path_shocks_oracle
 from superdraw import esg
 from superdraw.errors import ConfigError, DataError, NumericError
-from superdraw.esg import (DEFAULT_PARAMS, EconState, EsgParams, ShockVector,
-                           step_esg)
+from superdraw.esg import DEFAULT_PARAMS, EconState, EsgParams
 
-ZERO = ShockVector()
+FACTORS = ("q", "S", "e", "n", "b", "o", "h")
+
+
+def quiet(params=DEFAULT_PARAMS, **sigmas):
+    """`params` with every residual sigma at 1e-300 unless given."""
+    return dataclasses.replace(params, **{
+        f"sigma_{k}": sigmas.get(f"sigma_{k}", 1e-300) for k in FACTORS})
+
+
+def one_year(params, prev, M=1, seed=1):
+    """Year t = 1 of a simulated panel from `prev`, as an EconState of
+    (M,) arrays, with S recovered as s - q."""
+    panel = esg.simulate(params, prev, M=M, T=1, seed=seed)
+    return EconState(q=panel.q[:, 1], S=panel.s[:, 1] - panel.q[:, 1],
+                     e=panel.e[:, 1], n=panel.n[:, 1], b=panel.b[:, 1],
+                     o=panel.o[:, 1], h=panel.h[:, 1])
 
 
 def test_params_validation():
@@ -30,45 +44,52 @@ def test_step_ar1_fixed_points():
     prev = esg.stationary_state(DEFAULT_PARAMS)
     assert prev.q == pytest.approx(0.024)
     assert prev.e == pytest.approx(0.085)
-    nxt = step_esg(DEFAULT_PARAMS, prev, ZERO)
-    assert nxt.q == pytest.approx(prev.q)
-    assert nxt.e == pytest.approx(prev.e)
-    assert nxt.S == pytest.approx(prev.S)
+    nxt = one_year(quiet(), prev)
+    assert nxt.q[0] == pytest.approx(prev.q)
+    assert nxt.e[0] == pytest.approx(prev.e)
+    assert nxt.S[0] == pytest.approx(prev.S)
 
 
 def test_step_intl_equity_from_fresh_domestic():
     # n' is driven by the same-year e', here at its fixed point 0.085.
     prev = EconState(q=0.024, S=DEFAULT_PARAMS.mu_S - 0.024, e=0.085,
                      n=0.0, b=0.0, o=0.0, h=0.0)
-    nxt = step_esg(DEFAULT_PARAMS, prev, ZERO)
-    assert nxt.n == pytest.approx(-0.018 + 0.911 * 0.085)
-    assert nxt.n == pytest.approx(0.059435)
+    nxt = one_year(quiet(), prev)
+    assert nxt.n[0] == pytest.approx(-0.018 + 0.911 * 0.085)
+    assert nxt.n[0] == pytest.approx(0.059435)
 
 
 def test_step_cascade_uses_fresh_values():
+    # Only domestic equity is shocked: n' and o' must read the shocked e'.
+    p = quiet(sigma_e=DEFAULT_PARAMS.sigma_e)
     prev = esg.stationary_state(DEFAULT_PARAMS)
-    shocked = step_esg(DEFAULT_PARAMS, prev, ShockVector(eps_e=0.1))
-    p = DEFAULT_PARAMS
-    assert shocked.e == pytest.approx(prev.e + 0.1)
-    assert shocked.n == pytest.approx(
-        p.psi_n0 + p.psi_n1 * prev.n + p.psi_n2 * shocked.e)
-    assert shocked.o == pytest.approx(
-        p.psi_o0 + p.psi_o1 * shocked.e + p.psi_o2 * shocked.n)
-
-
-def test_step_rejects_non_finite():
-    prev = EconState(q=np.nan, S=0, e=0, n=0, b=0, o=0, h=0)
-    with pytest.raises(NumericError):
-        step_esg(DEFAULT_PARAMS, prev, ZERO)
-    with pytest.raises(NumericError):
-        step_esg(DEFAULT_PARAMS, esg.stationary_state(DEFAULT_PARAMS),
-                 ShockVector(eps_b=np.inf))
+    shocked = one_year(p, prev, seed=5)
+    eps_e = esg._path_shocks(p, 5, 1, 1)[0, 0, 2]
+    assert abs(eps_e) > 1e-3
+    assert shocked.e[0] == pytest.approx(prev.e + eps_e)
+    assert shocked.n[0] == pytest.approx(
+        p.psi_n0 + p.psi_n1 * prev.n + p.psi_n2 * shocked.e[0])
+    assert shocked.o[0] == pytest.approx(
+        p.psi_o0 + p.psi_o1 * shocked.e[0] + p.psi_o2 * shocked.n[0])
 
 
 def test_step_deterministic():
     prev = esg.stationary_state(DEFAULT_PARAMS)
-    sh = ShockVector(eps_q=0.01, eps_e=-0.2, eps_h=0.03)
-    assert step_esg(DEFAULT_PARAMS, prev, sh) == step_esg(DEFAULT_PARAMS, prev, sh)
+    a = one_year(DEFAULT_PARAMS, prev, M=3, seed=9)
+    b = one_year(DEFAULT_PARAMS, prev, M=3, seed=9)
+    for k in FACTORS:
+        assert np.array_equal(getattr(a, k), getattr(b, k))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("factor", FACTORS)
+def test_simulate_rejects_non_finite_initial_state(factor, bad):
+    # o and h do not feed next year's values, so only a check on the
+    # initial state itself catches them.
+    prev = dataclasses.replace(esg.stationary_state(DEFAULT_PARAMS),
+                               **{factor: bad})
+    with pytest.raises(NumericError):
+        esg.simulate(DEFAULT_PARAMS, prev, M=2, T=3, seed=1)
 
 
 # ------------------------------------------------------------- portfolio
@@ -132,24 +153,29 @@ def test_simulate_shocks_match_per_path_philox(seed, T):
     assert panels[7].tobytes() == panels[300][:7].tobytes()
 
 
-def test_simulate_matches_step_esg():
+def test_simulate_matches_esg_year_oracle():
+    # Every factor, s, R and Q of the panel against the equations written
+    # out year by year, fed the panel's own scaled shocks.
     init = esg.stationary_state(DEFAULT_PARAMS)
-    panel = esg.simulate(DEFAULT_PARAMS, init, M=2, T=4, seed=11)
-    m = 1
-    state = init
-    for t in range(1, 5):
-        eps = esg._path_shocks(DEFAULT_PARAMS, 11, 2, 4)[m, t - 1]
-        state = step_esg(DEFAULT_PARAMS, state, ShockVector(*eps))
-        assert panel.q[m, t] == pytest.approx(state.q, abs=1e-14)
-        assert panel.h[m, t] == pytest.approx(state.h, abs=1e-14)
-        assert panel.R[m, t] == pytest.approx(
-            esg.portfolio_return(state, 0.7), abs=1e-14)
+    M, T, seed = 5, 6, 11
+    panel = esg.simulate(DEFAULT_PARAMS, init, M=M, T=T, seed=seed)
+    eps = esg._path_shocks(DEFAULT_PARAMS, seed, M, T)
+    for m in range(M):
+        state = {k: getattr(init, k) for k in FACTORS}
+        Q = 1.0
+        for t in range(1, T + 1):
+            state = esg_year_oracle(DEFAULT_PARAMS, state, eps[m, t - 1])
+            Q *= np.exp(state["q"])
+            for k in ("q", "e", "n", "b", "o", "h", "s", "R"):
+                assert getattr(panel, k)[m, t] == pytest.approx(
+                    state[k], abs=1e-14), (m, t, k)
+            assert panel.s[m, t] - panel.q[m, t] == pytest.approx(
+                state["S"], abs=1e-14)
+            assert panel.Q[m, t] == pytest.approx(Q, abs=1e-14)
 
 
 def test_simulate_zero_shock_paths_are_constant():
-    p = dataclasses.replace(DEFAULT_PARAMS, sigma_q=1e-300, sigma_S=1e-300,
-                            sigma_e=1e-300, sigma_n=1e-300, sigma_b=1e-300,
-                            sigma_o=1e-300, sigma_h=1e-300)
+    p = quiet()
     init = esg.stationary_state(p)
     panel = esg.simulate(p, init, M=2, T=10, seed=1)
     assert np.allclose(panel.q, init.q, atol=1e-12)

@@ -20,12 +20,14 @@ from superdraw.trainer import PathRecords
 from test_trainer import small_config, synthetic_panel
 
 
-def test_self_comparison_is_exactly_zero():
+def test_self_comparison_is_exactly_zero(monkeypatch):
     cfg = small_config(horizon=8)
     panel = synthetic_panel(20, cfg.horizon, seed=2)
     kind = StrategyKind.RULE_OF_THUMB
-    report = compare(None, [kind], panel, cfg,
-                     policy_consume=strategy_consumer(kind, cfg))
+    # The "policy" rolled out is the strategy itself.
+    monkeypatch.setattr(evaluator, "network_consumer",
+                        lambda params, norm: strategy_consumer(kind, cfg))
+    report = compare(None, [kind], panel, cfg, cfg.curve())
     assert report.outperformance[kind.value] == 0
     assert np.all(report.diffs[kind.value] == 0.0)
     assert report.m_test == 20
@@ -35,7 +37,8 @@ def test_compare_counts_and_shapes():
     cfg = small_config(horizon=8)
     panel = synthetic_panel(30, cfg.horizon, seed=4)
     params = he_init(seed=1)
-    report = compare(params, list(StrategyKind), panel, cfg, record=True)
+    report = compare(params, list(StrategyKind), panel, cfg, cfg.curve(),
+                     record=True)
     assert set(report.utilities) == {POLICY_LABEL} | \
         {k.value for k in StrategyKind}
     for k in StrategyKind:
@@ -50,7 +53,8 @@ def test_compare_rejects_horizon_mismatch():
     cfg = small_config(horizon=8)
     panel = synthetic_panel(5, 6, seed=4)
     with pytest.raises(ConfigError):
-        compare(he_init(seed=1), [StrategyKind.MODEST], panel, cfg)
+        compare(he_init(seed=1), [StrategyKind.MODEST], panel, cfg,
+                cfg.curve())
 
 
 def test_outperformance_curve_orders_and_counts():
@@ -201,7 +205,8 @@ def test_csv_exports_roundtrip(tmp_path):
     cfg = small_config(horizon=5)
     panel = synthetic_panel(8, cfg.horizon, seed=8)
     params = he_init(seed=5)
-    report = compare(params, [StrategyKind.MODEST], panel, cfg, record=True)
+    report = compare(params, [StrategyKind.MODEST], panel, cfg, cfg.curve(),
+                     record=True)
 
     upath = tmp_path / "utilities.csv"
     write_utilities_csv(report, upath)
@@ -254,8 +259,7 @@ def test_utilities_csv_matches_csv_writer_bytes(tmp_path, m):
         idx = rng.permutation(m)[:crafted.size]
         vals[idx] = crafted[:idx.size]
         utilities[label] = vals
-    report = EvalReport(utilities=utilities, outperformance={}, diffs={},
-                        config=small_config())
+    report = EvalReport(utilities=utilities, outperformance={}, diffs={})
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_utilities_csv(report, got)
     _utilities_csv_oracle(report, want)

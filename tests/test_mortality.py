@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from superdraw.errors import DataError
-from superdraw.mortality import (LifeTable, life_expectancy, load_life_table,
-                                 projected_qx, survival_curve)
+from superdraw.mortality import (LifeTable, load_life_table, projected_qx,
+                                 survival_curve)
+
+
+def life_expectancy(table: LifeTable, gender: str, age: int) -> float:
+    """Complete expectation of life at `age`, improvement included."""
+    T = table.terminal_age + 1 - age
+    curve = survival_curve(table, gender, age, T)
+    return age + 0.5 + float(curve.tpx[1:].sum())
 
 
 @pytest.fixture(scope="module")

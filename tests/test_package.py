@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 import pkgutil
 import sys
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import superdraw
@@ -42,3 +44,46 @@ def test_every_public_name_resolves(monkeypatch):
         cls = getattr(mods[short], cls_name, None)
         assert cls is not None, f"superdraw.{short}.{cls_name}"
         assert meth in cls.__dict__, f"superdraw.{short}.{cls_name}.{meth}"
+
+
+# Public names that nothing in the library or the benchmark calls, each
+# with the reason it stays.
+UNREFERENCED_OK = {
+    ("esg", "stationary_state"): "acceptance criterion 7 starts simulations "
+                                 "from the zero-shock fixed point",
+}
+
+
+def _name_uses(path: Path) -> Counter:
+    """NAME tokens of one source file, minus the name a `def`/`class`
+    statement or a module-level assignment defines. Strings, comments
+    and docstrings (so `__all__` entries) do not count."""
+    uses = Counter()
+    with open(path, "rb") as fh:
+        toks = [t for t in tokenize.tokenize(fh.readline)
+                if t.type not in (tokenize.NL, tokenize.COMMENT)]
+    for prev, tok, nxt in zip([None] + toks, toks, toks[1:] + [None]):
+        if tok.type != tokenize.NAME:
+            continue
+        if prev is not None and prev.string in ("def", "class"):
+            continue
+        if tok.start[1] == 0 and nxt is not None and nxt.string == "=":
+            continue
+        uses[tok.string] += 1
+    return uses
+
+
+def test_every_public_name_has_a_caller():
+    # A public name that only tests reach is a second copy of a formula
+    # (or a helper) the program never runs; it belongs in tests/.
+    root = Path(superdraw.__file__).resolve().parent
+    uses = Counter()
+    for path in [*root.glob("*.py"), *SPANS.parent.glob("*.py")]:
+        uses += _name_uses(path)
+    unused = []
+    for info in pkgutil.iter_modules(superdraw.__path__):
+        mod = importlib.import_module(f"superdraw.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            if not uses[name] and (info.name, name) not in UNREFERENCED_OK:
+                unused.append(f"superdraw.{info.name}.{name}")
+    assert unused == []

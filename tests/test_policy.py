@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import map_params, perturb
 from oracles import sigmoid_oracle
 from superdraw import policy
 from superdraw.errors import ConfigError, DataError
@@ -69,7 +70,7 @@ def test_he_init_rejects_bad_widths():
 
 
 def test_forward_zero_params_gives_half():
-    p = small_params().map(np.zeros_like)
+    p = map_params(small_params(), np.zeros_like)
     c, _ = consumption(p, some_input(), w_plus_a=10_000.0)
     assert c == pytest.approx(5_000.0)
 
@@ -144,8 +145,8 @@ def test_backward_matches_finite_differences():
         i = int(rng.integers(arr.shape[0]))
         j = int(rng.integers(arr.shape[1]))
         h = 1e-5
-        p_up = policy.perturb(p, name, i, j, +h)
-        p_dn = policy.perturb(p, name, i, j, -h)
+        p_up = perturb(p, name, i, j, +h)
+        p_dn = perturb(p, name, i, j, -h)
         if not np.array_equal(relu_signature(p_up, inp, wpa),
                               relu_signature(p_dn, inp, wpa)):
             continue
@@ -217,8 +218,8 @@ def test_network_node_matches_fd_with_dead_units():
     for name in PARAM_FIELDS:
         arr = getattr(p, name)
         for i, j in np.ndindex(arr.shape):
-            fd = (f(policy.perturb(p, name, i, j, h))
-                  - f(policy.perturb(p, name, i, j, -h))) / (2.0 * h)
+            fd = (f(perturb(p, name, i, j, h))
+                  - f(perturb(p, name, i, j, -h))) / (2.0 * h)
             assert grads[name][i, j] == pytest.approx(
                 fd, rel=1e-5, abs=1e-9), (name, i, j)
     for i, j in np.ndindex(x0.shape):

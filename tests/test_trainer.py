@@ -13,17 +13,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import straight_line_objective
+from conftest import map_params, perturb
+from oracles import lifetime_utility_oracle, straight_line_objective
 from superdraw.account import AccountParams
 from superdraw.errors import ConfigError, NumericError
 from superdraw.mortality import load_life_table, survival_curve
-from superdraw.policy import (PARAM_FIELDS, backward, he_init, load_checkpoint,
-                              perturb)
+from superdraw.policy import PARAM_FIELDS, backward, he_init, load_checkpoint
 from superdraw.trainer import (AdamState, PathRecords, TrainConfig,
-                               adam_step, batch_objective, policy_consumer,
+                               adam_step, batch_objective, network_consumer,
                                rollout, rollout_consume, train)
 from superdraw.esg import ScenarioPanel
-from superdraw.utility import UtilityParams, lifetime_utility
+from superdraw.utility import UtilityParams
 
 
 def synthetic_panel(M, T, seed=0, r_scale=0.1, q_scale=0.02):
@@ -76,7 +76,8 @@ def test_engine_matches_lifetime_utility_on_records():
     total, rec = rollout_consume(rule, panel, curve, cfg, record=True)
     up = cfg.effective_utility()
     for m in range(panel.M):
-        lu = lifetime_utility(rec.consumption[m], rec.wealth[m], curve, up)
+        lu = lifetime_utility_oracle(rec.consumption[m], rec.wealth[m], curve,
+                                     up)
         assert total[m] == pytest.approx(lu, rel=1e-12)
 
 
@@ -98,7 +99,7 @@ def test_tensor_mode_equals_numpy_mode():
     panel = synthetic_panel(6, cfg.horizon, seed=5)
     params = he_init(seed=2)
     obj, _ = batch_objective(params, panel.R, panel.Q, curve, cfg)
-    total, _ = rollout_consume(policy_consumer(params, cfg.norm()),
+    total, _ = rollout_consume(network_consumer(params, cfg.norm()),
                                panel, curve, cfg)
     assert float(obj.value) == pytest.approx(total.mean(), rel=1e-13)
 
@@ -177,7 +178,7 @@ def test_bptt_gradient_matches_finite_differences():
     params = he_init(seed=8)
     for label, cfg, panel in _bptt_inputs():
         curve = cfg.curve()
-        _, rec = rollout_consume(policy_consumer(params, cfg.norm()), panel,
+        _, rec = rollout_consume(network_consumer(params, cfg.norm()), panel,
                                  curve, cfg, record=True)
         depleted_at = np.flatnonzero(rec.wealth[0] == 0.0)
         assert list(depleted_at) == ([2, 3] if label == "depleted" else [])
@@ -219,7 +220,7 @@ def test_bptt_gradient_matches_finite_differences():
 def test_adam_first_step_closed_form():
     params = he_init(seed=0)
     state = AdamState.fresh(params)
-    g = params.map(lambda a: np.full_like(a, 2.0))
+    g = map_params(params, lambda a: np.full_like(a, 2.0))
     state2, updated = adam_step(state, params, g)
     # With constant gradient the bias-corrected ratio is g / (|g| + eps).
     step = 5e-4 * 2.0 / (2.0 + 1e-8)
@@ -232,7 +233,7 @@ def test_adam_first_step_closed_form():
 def test_adam_zero_gradient_is_identity():
     params = he_init(seed=1)
     state = AdamState.fresh(params)
-    zero = params.map(np.zeros_like)
+    zero = map_params(params, np.zeros_like)
     _, updated = adam_step(state, params, zero)
     for n in PARAM_FIELDS:
         assert np.array_equal(getattr(updated, n), getattr(params, n))
@@ -242,7 +243,7 @@ def test_adam_three_steps_match_reference():
     params = he_init(seed=2)
     state = AdamState.fresh(params)
     rng = np.random.default_rng(0)
-    grads = [params.map(lambda a: rng.standard_normal(a.shape))
+    grads = [map_params(params, lambda a: rng.standard_normal(a.shape))
              for _ in range(3)]
 
     # Independent scalar reference per coordinate.
@@ -312,7 +313,7 @@ def test_trained_policy_respects_constraints():
     params, _ = train(cfg)
     curve = cfg.curve()
     panel = synthetic_panel(50, cfg.horizon, seed=99)
-    total, rec = rollout_consume(policy_consumer(params, cfg.norm()), panel,
+    total, rec = rollout_consume(network_consumer(params, cfg.norm()), panel,
                                  curve, cfg, record=True)
     from superdraw.account import age_pension
     assert np.all(rec.consumption >= 0.0)
