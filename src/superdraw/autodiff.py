@@ -33,7 +33,6 @@ class Tensor:
         self._backward = backward
 
     def backward(self) -> None:
-        """Run the sweep once and add its result into each parent's `grad`;
-        an unset `grad` takes it as is."""
+        """Run the sweep once and set each parent's `grad` to its result."""
         for leaf, g in zip(self._parents, self._backward()):
-            leaf.grad = g if leaf.grad is None else leaf.grad + g
+            leaf.grad = g

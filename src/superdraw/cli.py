@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import esg as esg_mod
+from ._csvblock import write_csv
 from .account import AccountParams, PensionParams
 from .baselines import StrategyKind
 from .errors import ConfigError, DataError, NumericError
@@ -149,13 +150,11 @@ def cmd_calibrate(args) -> int:
     history = esg_mod.load_history(history_path)
     params = esg_mod.calibrate(history)
     esg_mod.save_params(params, out / "params.ini")
-    corr, _ = esg_mod.residual_diagnostics(history, params)
-    names = ["q", "S", "e", "n", "b", "o", "h"]
-    with open(out / "residual_correlations.csv", "w", newline="") as fh:
-        fh.write("," + ",".join(names) + "\n")
-        for i, row_name in enumerate(names):
-            fh.write(row_name + "," +
-                     ",".join(f"{corr[i, j]:.6f}" for j in range(7)) + "\n")
+    corr, residuals = esg_mod.residual_diagnostics(history, params)
+    write_csv(out / "residual_correlations.csv",
+              "," + ",".join(residuals) + "\n",
+              ((name + ",%.6f" * 7 + "\n", [corr[i:i + 1]])
+               for i, name in enumerate(residuals)))
     off_diag = np.max(np.abs(corr - np.diag(np.diag(corr))))
     echo = _new_ini()
     # The bundled default goes by its file name, so that every checkout
@@ -263,10 +262,9 @@ def cmd_evaluate(args) -> int:
     if test_seed == cfg.seed:
         raise ConfigError("test seed must differ from the training seed")
     params, meta = _load_policy(args.checkpoint, cfg)
-    ckpt_path = Path(args.checkpoint)
     # Every checkpoint is checked before any output is written.
-    seq = _checkpoint_sequence(ckpt_path, cfg) if ckpt_path.is_dir() \
-        else None
+    seq = _checkpoint_sequence(args.checkpoint, cfg) \
+        if Path(args.checkpoint).is_dir() else [(meta["iteration"], params)]
     panel = esg_mod.simulate(cfg.esg, cfg.initial_econ_state(), m_test,
                              cfg.horizon, seed=test_seed,
                              omega=cfg.account.omega)
@@ -280,13 +278,8 @@ def cmd_evaluate(args) -> int:
         mp = median_paths(report.records.pop(label), cfg.retirement_age)
         write_medians_csv(mp, out / f"medians_{label}.csv")
 
-    if seq is not None:
-        rows = outperformance_curve(seq, strategies, panel, cfg, curve=curve,
-                                    base_utilities=report.utilities,
-                                    policy=params)
-    else:
-        rows = [(meta["iteration"], k.value, report.outperformance[k.value])
-                for k in strategies]
+    rows = outperformance_curve(seq, strategies, panel, cfg, curve=curve,
+                                base_utilities=report.utilities, policy=params)
     write_outperformance_csv(rows, out / "outperformance.csv")
 
     for kind in strategies:
@@ -318,12 +311,12 @@ def cmd_demo_path(args) -> int:
                              cfg.horizon, seed=seed, omega=cfg.account.omega)
     totals, rec = evaluate_policy(params, panel, cfg.curve(), cfg,
                                   record=True)
-    with open(out / "demo_path.csv", "w", newline="") as fh:
-        fh.write("age,q,R,consumption_real,wealth_real,pension_real\n")
-        for t in range(cfg.horizon + 1):
-            fh.write(f"{cfg.retirement_age + t},{panel.q[0, t]:.10g},"
-                     f"{panel.R[0, t]:.10g},{rec.consumption[0, t]:.10g},"
-                     f"{rec.wealth[0, t]:.10g},{rec.pension[0, t]:.10g}\n")
+    write_csv(out / "demo_path.csv",
+              "age,q,R,consumption_real,wealth_real,pension_real\n",
+              [("%d" + ",%.10g" * 5 + "\n", [np.column_stack([
+                  cfg.retirement_age + np.arange(cfg.horizon + 1),
+                  panel.q[0], panel.R[0], rec.consumption[0], rec.wealth[0],
+                  rec.pension[0]])])])
     _echo_config(cfg, out, {"command": "demo-path", "seed": seed,
                             "checkpoint": args.checkpoint})
     print(f"wrote {out / 'demo_path.csv'}; first-year consumption "

@@ -18,13 +18,12 @@ for the fit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from ._csvblock import BLOCK_ROWS, write_blocks
+from ._csvblock import BLOCK_ROWS, read_table, write_csv
 from .errors import ConfigError, DataError, NumericError
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -36,7 +35,6 @@ __all__ = [
     "ScenarioPanel",
     "DEFAULT_PARAMS",
     "bundled_history_path",
-    "stationary_state",
     "simulate",
     "portfolio_return",
     "calibrate",
@@ -50,6 +48,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# Largest panel `simulate` builds, in cells of its nine (M, T + 1) columns.
+_MAX_CELLS = 200_000_000
 
 
 @dataclass(frozen=True)
@@ -200,19 +200,6 @@ def bundled_history_path() -> Path:
 # ----------------------------------------------------------------- dynamics
 
 
-def stationary_state(params: EsgParams) -> EconState:
-    """Zero-shock fixed point of the dynamics."""
-    p = params
-    q = p.mu_q
-    S = p.mu_S - p.mu_q
-    e = p.mu_e
-    n = (p.psi_n0 + p.psi_n2 * e) / (1.0 - p.psi_n1)
-    b = (p.psi_b0 + p.psi_b2 * n) / (1.0 - p.psi_b1)
-    o = p.psi_o0 + p.psi_o1 * e + p.psi_o2 * n
-    h = p.psi_h0 + p.psi_h1 * q + p.psi_h2 * b
-    return EconState(q=q, S=S, e=e, n=n, b=b, o=o, h=h)
-
-
 # Conditional mean of each equation, in cascade order: `lag` holds last
 # year's values, `cur` this year's values of the factors computed so far.
 _MEANS = {
@@ -272,7 +259,7 @@ def _path_shocks(params: EsgParams, seed: int, M: int, T: int) -> np.ndarray:
 
 
 def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
-             omega: float = 0.7, max_cells: int = 200_000_000) -> ScenarioPanel:
+             omega: float = 0.7) -> ScenarioPanel:
     """Simulate M paths over T years from the given initial state.
 
     Path m's shocks are the Philox stream keyed [seed, m] from counter 0,
@@ -281,9 +268,9 @@ def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
     """
     if M < 1 or T < 1:
         raise ConfigError("M and T must be at least 1")
-    if M * (T + 1) * 9 > max_cells:
+    if M * (T + 1) * 9 > _MAX_CELLS:
         raise ConfigError(f"panel of {M}x{T + 1} exceeds the cell budget "
-                          f"({max_cells}); raise max_cells to override")
+                          f"({_MAX_CELLS})")
     eps = _path_shocks(params, seed, M, T)
 
     cols = {k: np.empty((M, T + 1)) for k in _FACTORS}
@@ -314,34 +301,10 @@ def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
 
 def load_history(path) -> HistoricalSeries:
     """Read the annual history CSV (header year,cpi,s,E,N,B,O,HPI)."""
-    want = ["year", "cpi", "s", "E", "N", "B", "O", "HPI"]
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [c.strip() for c in header] != want:
-            missing = set(want) - {c.strip() for c in header}
-            raise DataError(f"{path}: bad header, missing column(s) "
-                            f"{sorted(missing) or header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not "".join(row).strip():
-                continue
-            if len(row) != len(want):
-                raise DataError(f"{path}:{lineno}: expected {len(want)} "
-                                f"fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    arr = np.array(rows)
-    return HistoricalSeries(year=arr[:, 0].astype(int), cpi=arr[:, 1],
-                            s=arr[:, 2], E=arr[:, 3], N=arr[:, 4],
-                            B=arr[:, 5], O=arr[:, 6], HPI=arr[:, 7])
+    names = [f.name for f in fields(HistoricalSeries)]
+    cols = dict(zip(names, read_table(path, names).T))
+    cols["year"] = cols["year"].astype(int)
+    return HistoricalSeries(**cols)
 
 
 def log_return_table(history: HistoricalSeries) -> dict:
@@ -487,7 +450,6 @@ def panel_to_csv(panel: ScenarioPanel, path) -> None:
             yield np.stack([*np.broadcast_arrays(paths[:, None], years),
                             *cols], axis=-1).reshape(-1, 2 + len(cols))
 
-    with open(path, "w", newline="") as fh:
-        fh.write("path,t," + ",".join(_PANEL_COLUMNS) + "\r\n")
-        write_blocks(fh, "%d,%d," + ",".join(["%.10g"] * len(_PANEL_COLUMNS))
-                     + "\r\n", blocks())
+    write_csv(path, "path,t," + ",".join(_PANEL_COLUMNS) + "\r\n", [(
+        "%d,%d," + ",".join(["%.10g"] * len(_PANEL_COLUMNS)) + "\r\n",
+        blocks())])

@@ -9,12 +9,11 @@ consumption and wealth paths.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._csvblock import BLOCK_ROWS, quote_field, write_blocks
+from ._csvblock import BLOCK_ROWS, literal, write_csv
 from .baselines import rollout_strategy
 from .errors import ConfigError
 from .esg import ScenarioPanel
@@ -150,12 +149,13 @@ def silverman_bandwidth(x: np.ndarray) -> float:
     return 0.9 * min(spreads) * n ** (-0.2)
 
 
-def kde(samples: np.ndarray, grid: np.ndarray | None = None,
-        n_grid: int = 256):
+def kde(samples: np.ndarray):
     """Gaussian kernel density estimate; returns (grid, density).
 
-    A degenerate sample (all values identical) gets a hair-width bandwidth
-    so the result is a unit-mass spike at the shared value.
+    The grid is 256 points over the samples plus three bandwidths on
+    either side. A degenerate sample (all values identical) gets a
+    hair-width bandwidth so the result is a unit-mass spike at the shared
+    value.
     """
     x = np.asarray(samples, dtype=float)
     if len(x) < 2:
@@ -163,8 +163,7 @@ def kde(samples: np.ndarray, grid: np.ndarray | None = None,
     bw = silverman_bandwidth(x)
     if bw <= 0.0:
         bw = max(abs(float(x[0])), 1.0) * 1e-9
-    if grid is None:
-        grid = np.linspace(x.min() - 3.0 * bw, x.max() + 3.0 * bw, n_grid)
+    grid = np.linspace(x.min() - 3.0 * bw, x.max() + 3.0 * bw, 256)
     sums = np.empty(len(grid))
     for i in range(0, len(grid), KDE_BLOCK_ROWS):
         z = (grid[i:i + KDE_BLOCK_ROWS, None] - x[None, :]) / bw
@@ -173,7 +172,7 @@ def kde(samples: np.ndarray, grid: np.ndarray | None = None,
     return grid, density
 
 
-def utility_diff_density(diffs: np.ndarray, n_grid: int = 256) -> DiffDensity:
+def utility_diff_density(diffs: np.ndarray) -> DiffDensity:
     """KDE of log10 of the positive utility gaps.
 
     Non-positive gaps cannot appear on a log axis; they are counted and
@@ -186,7 +185,7 @@ def utility_diff_density(diffs: np.ndarray, n_grid: int = 256) -> DiffDensity:
     if len(positive) < 2:
         return DiffDensity(grid=np.empty(0), density=np.empty(0),
                            n_nonpositive=n_nonpos, empty=True)
-    grid, density = kde(np.log10(positive), n_grid=n_grid)
+    grid, density = kde(np.log10(positive))
     return DiffDensity(grid=grid, density=density, n_nonpositive=n_nonpos,
                        empty=False)
 
@@ -222,38 +221,34 @@ def write_utilities_csv(report: EvalReport, path) -> None:
     an integer, `utility` is formatted as `%.10g` and the label is quoted as
     `csv.writer` would; lines end in CRLF.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write("path,strategy,utility\r\n")
-        for label, values in report.utilities.items():
-            row = "%d," + quote_field(label).replace("%", "%%") + ",%.10g\r\n"
-            paths = np.arange(len(values))
-            write_blocks(fh, row, (
-                np.column_stack([paths[i:i + BLOCK_ROWS],
+    def blocks(values):
+        paths = np.arange(len(values))
+        return (np.column_stack([paths[i:i + BLOCK_ROWS],
                                  values[i:i + BLOCK_ROWS]])
-                for i in range(0, len(values), BLOCK_ROWS)))
+                for i in range(0, len(values), BLOCK_ROWS))
+
+    write_csv(path, "path,strategy,utility\r\n",
+              (("%d," + literal(label) + ",%.10g\r\n", blocks(values))
+               for label, values in report.utilities.items()))
 
 
 def write_outperformance_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iter", "strategy", "count"])
-        for it, label, count in rows:
-            w.writerow([it, label, count])
+    """Rows of (iteration, label, count) as `iter,strategy,count` CSV."""
+    write_csv(path, "iter,strategy,count\r\n",
+              (("%d," + literal(label) + ",%d\r\n", [[(it, count)]])
+               for it, label, count in rows))
 
 
 def write_kde_csv(dd: DiffDensity, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "density"])
-        for x, d in zip(dd.grid, dd.density):
-            w.writerow([f"{x:.10g}", f"{d:.10g}"])
+    write_csv(path, "x,density\r\n",
+              [("%.10g,%.10g\r\n", [np.column_stack([dd.grid, dd.density])])])
 
 
 def write_medians_csv(mp: MedianPaths, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["age", "consumption", "wealth", "consumption_rate"])
-        for a, c, wl, r in zip(mp.age, mp.consumption, mp.wealth,
-                               mp.consumption_rate):
-            w.writerow([a, f"{c:.10g}", f"{wl:.10g}",
-                        "" if not np.isfinite(r) else f"{r:.10g}"])
+    """One row per age; a consumption rate that is not finite is left
+    empty."""
+    rows = np.column_stack([mp.age, mp.consumption, mp.wealth,
+                            mp.consumption_rate])
+    write_csv(path, "age,consumption,wealth,consumption_rate\r\n",
+              (("%d,%.10g,%.10g,%.10g\r\n", [[row]]) if np.isfinite(row[3])
+               else ("%d,%.10g,%.10g,\r\n", [[row[:3]]]) for row in rows))

@@ -2,8 +2,8 @@
 
 The bundled table approximates the Australian Life Tables 2015-17 with
 annual improvement factors (see tools/make_life_table.py). Projected rates
-compound the improvement from the table's central year: with the default
-base lag of 3 years a rate used `offset` years after a 2020 start is
+compound the improvement from the table's central year: with the base lag
+of `BASE_LAG` = 3 years a rate used `offset` years after a 2020 start is
 
     q(age) * (1 + i(age)) ** (3 + offset)
 
@@ -12,12 +12,12 @@ Improvement factors are negative where mortality is falling.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._csvblock import read_table
 from .errors import DataError
 
 __all__ = [
@@ -31,6 +31,10 @@ __all__ = [
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 _GENDERS = ("male", "female")
+_COLUMNS = ("age", "male_qx", "female_qx", "male_improvement",
+            "female_improvement")
+# Years from the table's central year to the projection start.
+BASE_LAG = 3
 
 
 def bundled_life_table_path() -> Path:
@@ -42,7 +46,6 @@ class LifeTable:
     age: np.ndarray         # consecutive integer ages
     qx: dict                # gender -> base mortality rate per age
     improvement: dict       # gender -> annual improvement factor per age
-    base_lag: int = 3       # years from table central year to projection start
 
     def __post_init__(self):
         if np.any(np.diff(self.age) != 1):
@@ -55,8 +58,6 @@ class LifeTable:
                 raise DataError(f"{g} terminal rate must be 1")
             if np.any(self.improvement[g] > 0):
                 raise DataError(f"{g} improvement factors must be <= 0")
-        if self.base_lag < 0:
-            raise DataError("base_lag must be >= 0")
 
     @property
     def min_age(self) -> int:
@@ -99,33 +100,14 @@ def _check_gender(gender: str) -> str:
     return gender
 
 
-def load_life_table(path=None, base_lag: int = 3) -> LifeTable:
+def load_life_table(path=None) -> LifeTable:
     """Read a CSV with header age,male_qx,female_qx,male_improvement,female_improvement."""
-    if path is None:
-        path = bundled_life_table_path()
-    want = ["age", "male_qx", "female_qx", "male_improvement",
-            "female_improvement"]
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != want:
-            raise DataError(f"{path}: expected header {','.join(want)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not "".join(row).strip():
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    arr = np.array(rows)
+    arr = read_table(bundled_life_table_path() if path is None else path,
+                     _COLUMNS)
     return LifeTable(
         age=arr[:, 0].astype(int),
         qx={"male": arr[:, 1], "female": arr[:, 2]},
         improvement={"male": arr[:, 3], "female": arr[:, 4]},
-        base_lag=base_lag,
     )
 
 
@@ -140,7 +122,7 @@ def projected_qx(table: LifeTable, gender: str, age: int,
     if base >= 1.0:
         return 1.0
     rate = base * (1.0 + table.improvement[gender][i]) ** (
-        table.base_lag + calendar_offset)
+        BASE_LAG + calendar_offset)
     return float(min(max(rate, 0.0), 1.0))
 
 

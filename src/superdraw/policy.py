@@ -20,6 +20,7 @@ version of the network.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,6 @@ class MlpParams:
                                   f"expected {shape}")
             if not np.all(np.isfinite(arr)):
                 raise NumericError(f"non-finite entries in {name}")
-
-    @property
-    def widths(self):
-        return (self.w0.shape[0], self.w1.shape[0], self.w2.shape[0])
 
     def allclose(self, other: "MlpParams", **kw) -> bool:
         return all(np.allclose(getattr(self, n), getattr(other, n), **kw)
@@ -196,6 +193,6 @@ def load_checkpoint(path):
                               wealth_scale=float(data["wealth_scale"]))
             meta = {"config_hash": str(data["config_hash"]),
                     "iteration": int(data["iteration"])}
-    except KeyError as exc:
-        raise DataError(f"{path}: missing checkpoint field {exc}") from None
+    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: unreadable checkpoint ({exc})") from None
     return params, norm, meta

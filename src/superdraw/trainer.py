@@ -20,7 +20,6 @@ negated gradient.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import time
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import esg as esg_mod
+from ._csvblock import write_csv
 from .account import (AccountParams, PensionParams, age_pension, fees,
                       transition_balance)
 from .autodiff import Tensor
@@ -70,7 +70,6 @@ class TrainConfig:
     pension: PensionParams = field(default_factory=PensionParams)
     account: AccountParams = field(default_factory=AccountParams)
     esg: EsgParams = esg_mod.DEFAULT_PARAMS
-    widths: tuple = (20, 20, 20)
     learning_rate: float = 5e-4
     log_every: int = 100
     checkpoint_every: int = 0
@@ -127,15 +126,11 @@ class TrainReport:
     """
 
     rows: list = field(default_factory=list)
-    aborted: bool = False
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iter", "objective", "wallclock_ms", "forward_ms",
-                        "backward_ms", "adam_ms"])
-            for it, obj, *ms in self.rows:
-                w.writerow([it, f"{obj:.10g}"] + [f"{x:.1f}" for x in ms])
+        write_csv(path, "iter,objective,wallclock_ms,forward_ms,backward_ms,"
+                  "adam_ms\r\n", [("%d,%.10g" + ",%.1f" * 4 + "\r\n",
+                                     [self.rows])])
 
 
 class TrainingAborted(NumericError):
@@ -307,6 +302,9 @@ def rollout(params: MlpParams, panel: ScenarioPanel, m: int,
 
 # --------------------------------------------------------------------- adam
 
+# Adam's moment decay rates and the denominator's epsilon.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -314,9 +312,6 @@ class AdamState:
     v: dict
     k: int = 0
     alpha: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
 
     @classmethod
     def fresh(cls, params: MlpParams, alpha: float = 5e-4) -> "AdamState":
@@ -329,7 +324,7 @@ def adam_step(state: AdamState, params: MlpParams,
               grad: MlpParams) -> tuple[AdamState, MlpParams]:
     """One bias-corrected update; descends along `grad`."""
     k = state.k + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_m, new_v, new_p = {}, {}, {}
     for n in PARAM_FIELDS:
         g = getattr(grad, n)
@@ -340,9 +335,8 @@ def adam_step(state: AdamState, params: MlpParams,
         new_m[n] = m
         new_v[n] = v
         new_p[n] = getattr(params, n) - state.alpha * m_hat / (
-            np.sqrt(v_hat) + state.eps_hat)
-    next_state = AdamState(m=new_m, v=new_v, k=k, alpha=state.alpha,
-                           beta1=b1, beta2=b2, eps_hat=state.eps_hat)
+            np.sqrt(v_hat) + ADAM_EPS)
+    next_state = AdamState(m=new_m, v=new_v, k=k, alpha=state.alpha)
     return next_state, MlpParams(**new_p)
 
 
@@ -368,7 +362,7 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
         panel = cfg.training_panel()
     if panel.M != cfg.m_train or panel.T != cfg.horizon:
         raise ConfigError("supplied panel does not match the config")
-    params = he_init(*cfg.widths, seed=cfg.seed + 1)
+    params = he_init(seed=cfg.seed + 1)
     adam = AdamState.fresh(params, alpha=cfg.learning_rate)
     batch_rng = np.random.default_rng(cfg.seed + 2)
     report = TrainReport()
@@ -401,7 +395,6 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
             grads = MlpParams(**{n: -p[n].grad for n in PARAM_FIELDS})
             adam, params = adam_step(adam, params, grads)
         except NumericError as exc:
-            report.aborted = True
             if ckpt_dir:
                 save_checkpoint(ckpt_dir / "checkpoint_abort.npz", params,
                                 cfg.norm(), iteration=it - 1)

@@ -3,12 +3,14 @@
 These deliberately avoid the library's formula code: the pension oracle
 enumerates every means-test branch with explicit conditionals, the
 straight-line evaluator walks one path with plain floats, and the ESG-year
-oracle writes out the seven model equations itself.
+oracle and the stationary state write out the seven model equations
+themselves.
 """
 
 import numpy as np
 
 from superdraw.errors import DataError
+from superdraw.esg import EconState
 
 
 def pension_oracle(W, Q, p):
@@ -117,6 +119,18 @@ def esg_year_oracle(p, prev, eps, omega=0.7):
     defensive = 0.3 * s + 0.5 * b + 0.2 * o
     R = omega * growth + (1.0 - omega) * defensive
     return dict(q=q, S=S, e=e, n=n, b=b, o=o, h=h, s=s, R=R)
+
+
+def stationary_state(p):
+    """Zero-shock fixed point of the seven ESG equations."""
+    q = p.mu_q
+    S = p.mu_S - p.mu_q
+    e = p.mu_e
+    n = (p.psi_n0 + p.psi_n2 * e) / (1.0 - p.psi_n1)
+    b = (p.psi_b0 + p.psi_b2 * n) / (1.0 - p.psi_b1)
+    o = p.psi_o0 + p.psi_o1 * e + p.psi_o2 * n
+    h = p.psi_h0 + p.psi_h1 * q + p.psi_h2 * b
+    return EconState(q=q, S=S, e=e, n=n, b=b, o=o, h=h)
 
 
 def path_shocks_oracle(params, seed, m, T):

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from conftest import perturb, record_criterion
-from oracles import asset_test_cutoff_oracle, pension_oracle
+from oracles import (asset_test_cutoff_oracle, pension_oracle,
+                     stationary_state)
 from superdraw import esg
 from superdraw.account import PensionParams, age_pension
 from superdraw.baselines import StrategyKind
@@ -358,7 +359,7 @@ def test_criterion_6_ordering_properties(request, base_eval, female_policy,
 
 def _stationarity_ok() -> bool:
     params = esg.DEFAULT_PARAMS
-    start = esg.stationary_state(params)
+    start = stationary_state(params)
     panel = esg.simulate(params, start, 3_000, 60, seed=99)
     targets = {"q": start.q, "s": start.s, "e": start.e, "n": start.n,
                "b": start.b, "o": start.o, "h": start.h}

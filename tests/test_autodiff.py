@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from superdraw.account import (AccountParams, PensionParams, age_pension,
                                fees, transition_balance)
-from superdraw.autodiff import Tensor
 from superdraw.policy import (PARAM_FIELDS, fraction_backward, he_init,
                               policy_fraction)
 from superdraw.utility import UtilityParams, consumption_utility
@@ -123,18 +122,6 @@ def test_sigmoid_extreme_arguments_finite():
     _, grads, _ = net_gradients({**p, "b3": np.array([[800.0]])},
                                 np.zeros((4, 1)))
     assert grads["b3"][0, 0] == 0.0
-
-
-def test_backward_adds_into_set_leaf_gradients():
-    # The root's sweep gradient lands in an unset leaf as is and is added
-    # on top of a leaf gradient that is already set.
-    a, b = Tensor(np.zeros(2)), Tensor(np.zeros(2))
-    b.grad = np.array([10.0, np.nan])
-    root = Tensor(1.0, [a, b], lambda: [np.array([1.0, 2.0]),
-                                        np.array([3.0, 4.0])])
-    root.backward()
-    assert np.array_equal(a.grad, [1.0, 2.0])
-    assert b.grad[0] == 13.0 and np.isnan(b.grad[1])
 
 
 @settings(max_examples=60, deadline=None)

@@ -82,6 +82,16 @@ def test_calibrate_missing_file_is_io_error(tmp_path):
                 "--out", tmp_path]) == 5
 
 
+def test_calibrate_nan_in_history_is_data_error(tmp_path, capsys):
+    from superdraw.esg import bundled_history_path
+    lines = bundled_history_path().read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+    hist = tmp_path / "hist.csv"
+    hist.write_text("\n".join(lines) + "\n")
+    assert run(["calibrate", "--history", hist, "--out", tmp_path]) == 3
+    assert f"{hist}:4: non-finite" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -160,17 +170,18 @@ def test_train_smoke_reproducible(tmp_path, capsys):
 def test_train_abort_keeps_report_rows(tmp_path, monkeypatch, capsys):
     # Iteration 4 gets a NaN gradient while its objective stays finite.
     from superdraw import trainer
-    real = trainer.batch_objective
+    from superdraw.policy import PARAM_FIELDS
+    real = trainer._sweep
     calls = []
 
-    def poisoned(params, R, Q, curve, cfg):
-        obj, p = real(params, R, Q, curve, cfg)
+    def poisoned(*args):
+        grads = real(*args)
         calls.append(1)
         if len(calls) == 4:
-            p["w3"].grad = np.full_like(p["w3"].value, np.nan)
-        return obj, p
+            grads[PARAM_FIELDS.index("w3")][:] = np.nan
+        return grads
 
-    monkeypatch.setattr(trainer, "batch_objective", poisoned)
+    monkeypatch.setattr(trainer, "_sweep", poisoned)
     cfgp = write_config(tmp_path / "cfg.ini", """
 [train]
 m_train = 16
@@ -188,6 +199,18 @@ checkpoint_every = 1
     rep = list(csv.DictReader(open(out / "report.csv")))
     assert [r["iter"] for r in rep] == ["1", "2", "3"]
     assert all(np.isfinite(float(r["objective"])) for r in rep)
+
+
+def test_train_short_life_table_row_is_data_error(tmp_path, capsys):
+    from superdraw.mortality import bundled_life_table_path
+    lines = bundled_life_table_path().read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0]
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(lines) + "\n")
+    cfgp = write_config(tmp_path / "cfg.ini",
+                        TINY_TRAIN + f"life_table = {table}\n")
+    assert run(["train", "--config", cfgp, "--out", tmp_path / "run"]) == 3
+    assert f"{table}:6: expected 5 fields, got 4" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- evaluate
@@ -357,6 +380,24 @@ def test_evaluate_rejects_numbered_checkpoints_of_another_run(tmp_path,
                 "--m-test", 10, "--out", ev]) == 2
     assert "checkpoint_000010.npz" in capsys.readouterr().err
     assert not list(ev.glob("*.csv"))
+
+
+@pytest.mark.parametrize("kind,code", [("truncated", 3), ("not_zip", 3),
+                                       ("missing", 5)])
+def test_evaluate_corrupt_checkpoint_exit_codes(trained_run, tmp_path, capsys,
+                                                kind, code):
+    # A checkpoint that cannot be read is a data error; a missing one is
+    # an i/o error.
+    cfgp, run_dir = trained_run
+    good = (run_dir / "checkpoints" / "checkpoint_final.npz").read_bytes()
+    bad = tmp_path / "bad.npz"
+    if kind == "truncated":
+        bad.write_bytes(good[:300])
+    elif kind == "not_zip":
+        bad.write_text("iter,objective\n1,0.5\n")
+    assert run(["evaluate", "--config", cfgp, "--checkpoint", bad,
+                "--m-test", 10, "--out", tmp_path / "eval"]) == code
+    assert str(bad) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- demo-path

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import history_from_factors, history_from_panel
-from oracles import esg_year_oracle, path_shocks_oracle
+from oracles import esg_year_oracle, path_shocks_oracle, stationary_state
 from superdraw import esg
 from superdraw.errors import ConfigError, DataError, NumericError
 from superdraw.esg import DEFAULT_PARAMS, EconState, EsgParams
@@ -41,7 +41,7 @@ def test_nominal_rate_is_sum():
 
 
 def test_step_ar1_fixed_points():
-    prev = esg.stationary_state(DEFAULT_PARAMS)
+    prev = stationary_state(DEFAULT_PARAMS)
     assert prev.q == pytest.approx(0.024)
     assert prev.e == pytest.approx(0.085)
     nxt = one_year(quiet(), prev)
@@ -62,7 +62,7 @@ def test_step_intl_equity_from_fresh_domestic():
 def test_step_cascade_uses_fresh_values():
     # Only domestic equity is shocked: n' and o' must read the shocked e'.
     p = quiet(sigma_e=DEFAULT_PARAMS.sigma_e)
-    prev = esg.stationary_state(DEFAULT_PARAMS)
+    prev = stationary_state(DEFAULT_PARAMS)
     shocked = one_year(p, prev, seed=5)
     eps_e = esg._path_shocks(p, 5, 1, 1)[0, 0, 2]
     assert abs(eps_e) > 1e-3
@@ -74,7 +74,7 @@ def test_step_cascade_uses_fresh_values():
 
 
 def test_step_deterministic():
-    prev = esg.stationary_state(DEFAULT_PARAMS)
+    prev = stationary_state(DEFAULT_PARAMS)
     a = one_year(DEFAULT_PARAMS, prev, M=3, seed=9)
     b = one_year(DEFAULT_PARAMS, prev, M=3, seed=9)
     for k in FACTORS:
@@ -86,7 +86,7 @@ def test_step_deterministic():
 def test_simulate_rejects_non_finite_initial_state(factor, bad):
     # o and h do not feed next year's values, so only a check on the
     # initial state itself catches them.
-    prev = dataclasses.replace(esg.stationary_state(DEFAULT_PARAMS),
+    prev = dataclasses.replace(stationary_state(DEFAULT_PARAMS),
                                **{factor: bad})
     with pytest.raises(NumericError):
         esg.simulate(DEFAULT_PARAMS, prev, M=2, T=3, seed=1)
@@ -112,7 +112,7 @@ def test_portfolio_mixed_example():
 
 
 def test_portfolio_rejects_bad_omega():
-    st = esg.stationary_state(DEFAULT_PARAMS)
+    st = stationary_state(DEFAULT_PARAMS)
     with pytest.raises(ConfigError):
         esg.portfolio_return(st, 1.2)
 
@@ -121,7 +121,7 @@ def test_portfolio_rejects_bad_omega():
 
 
 def test_simulate_seeded_determinism():
-    init = esg.stationary_state(DEFAULT_PARAMS)
+    init = stationary_state(DEFAULT_PARAMS)
     a = esg.simulate(DEFAULT_PARAMS, init, M=4, T=6, seed=42)
     b = esg.simulate(DEFAULT_PARAMS, init, M=4, T=6, seed=42)
     for col in ("q", "s", "e", "n", "b", "o", "h", "R", "Q"):
@@ -131,7 +131,7 @@ def test_simulate_seeded_determinism():
 
 
 def test_simulate_per_path_streams_are_order_independent():
-    init = esg.stationary_state(DEFAULT_PARAMS)
+    init = stationary_state(DEFAULT_PARAMS)
     small = esg.simulate(DEFAULT_PARAMS, init, M=3, T=5, seed=7)
     big = esg.simulate(DEFAULT_PARAMS, init, M=8, T=5, seed=7)
     assert np.array_equal(small.e, big.e[:3])
@@ -156,7 +156,7 @@ def test_simulate_shocks_match_per_path_philox(seed, T):
 def test_simulate_matches_esg_year_oracle():
     # Every factor, s, R and Q of the panel against the equations written
     # out year by year, fed the panel's own scaled shocks.
-    init = esg.stationary_state(DEFAULT_PARAMS)
+    init = stationary_state(DEFAULT_PARAMS)
     M, T, seed = 5, 6, 11
     panel = esg.simulate(DEFAULT_PARAMS, init, M=M, T=T, seed=seed)
     eps = esg._path_shocks(DEFAULT_PARAMS, seed, M, T)
@@ -176,14 +176,14 @@ def test_simulate_matches_esg_year_oracle():
 
 def test_simulate_zero_shock_paths_are_constant():
     p = quiet()
-    init = esg.stationary_state(p)
+    init = stationary_state(p)
     panel = esg.simulate(p, init, M=2, T=10, seed=1)
     assert np.allclose(panel.q, init.q, atol=1e-12)
     assert np.allclose(panel.h, init.h, atol=1e-12)
 
 
 def test_simulate_panel_conventions():
-    init = esg.stationary_state(DEFAULT_PARAMS)
+    init = stationary_state(DEFAULT_PARAMS)
     panel = esg.simulate(DEFAULT_PARAMS, init, M=5, T=8, seed=3)
     assert np.all(panel.R[:, 0] == 0.0)
     assert np.all(panel.Q[:, 0] == 1.0)
@@ -194,7 +194,7 @@ def test_simulate_panel_conventions():
 
 
 def test_simulate_long_run_mean_of_inflation():
-    init = esg.stationary_state(DEFAULT_PARAMS)
+    init = stationary_state(DEFAULT_PARAMS)
     M, T = 3000, 41
     panel = esg.simulate(DEFAULT_PARAMS, init, M=M, T=T, seed=123)
     sd_stat = DEFAULT_PARAMS.sigma_q / np.sqrt(1 - DEFAULT_PARAMS.phi_q ** 2)
@@ -205,15 +205,16 @@ def test_simulate_long_run_mean_of_inflation():
 
 
 def test_simulate_guards():
-    init = esg.stationary_state(DEFAULT_PARAMS)
+    init = stationary_state(DEFAULT_PARAMS)
     with pytest.raises(ConfigError):
         esg.simulate(DEFAULT_PARAMS, init, M=0, T=5, seed=0)
     with pytest.raises(ConfigError):
-        esg.simulate(DEFAULT_PARAMS, init, M=100, T=5, seed=0, max_cells=100)
+        # Over the cell budget; the check runs before anything is drawn.
+        esg.simulate(DEFAULT_PARAMS, init, M=10 ** 7, T=5, seed=0)
 
 
 def test_panel_take():
-    init = esg.stationary_state(DEFAULT_PARAMS)
+    init = stationary_state(DEFAULT_PARAMS)
     panel = esg.simulate(DEFAULT_PARAMS, init, M=6, T=4, seed=9)
     sub = panel.take([4, 1])
     assert sub.M == 2
@@ -299,8 +300,7 @@ def test_calibrate_consistency_on_long_noisy_series():
     # sigmas concentrate much faster and get plain tolerances.
     p = dataclasses.replace(DEFAULT_PARAMS, mu_q=0.0, mu_S=0.0, mu_e=0.0,
                             psi_n0=0.0, psi_b0=0.0, psi_o0=0.0, psi_h0=0.0)
-    panel = esg.simulate(p, esg.stationary_state(p), M=1, T=10_000, seed=77,
-                         max_cells=10 ** 9)
+    panel = esg.simulate(p, stationary_state(p), M=1, T=10_000, seed=77)
     got = esg.calibrate(history_from_panel(panel))
     tab = esg.log_return_table(history_from_panel(panel))
     q, S, e, n, b, o, h = (tab[k] for k in ("q", "S", "e", "n", "b", "o", "h"))
@@ -354,7 +354,7 @@ def test_residuals_recover_simulated_shocks():
     # Simulation and residuals go through the same mean equations, so the
     # residuals of a simulated path are the shocks that drove it.
     T, seed = 30, 9
-    init = esg.stationary_state(DEFAULT_PARAMS)
+    init = stationary_state(DEFAULT_PARAMS)
     panel = esg.simulate(DEFAULT_PARAMS, init, M=1, T=T, seed=seed)
     _, res = esg.residual_diagnostics(history_from_panel(panel),
                                       DEFAULT_PARAMS)
@@ -389,7 +389,7 @@ def test_load_params_errors(tmp_path):
 
 
 def test_panel_csv_export(tmp_path):
-    init = esg.stationary_state(DEFAULT_PARAMS)
+    init = stationary_state(DEFAULT_PARAMS)
     panel = esg.simulate(DEFAULT_PARAMS, init, M=3, T=2, seed=5)
     out = tmp_path / "panel.csv"
     esg.panel_to_csv(panel, out)

@@ -106,8 +106,8 @@ def test_outperformance_curve_reuses_baseline_utilities(monkeypatch):
 def test_kde_standard_normal_at_zero():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(100_000)
-    _, density = kde(x, grid=np.array([0.0]))
-    assert density[0] == pytest.approx(0.3989, abs=0.01)
+    grid, density = kde(x)
+    assert np.interp(0.0, grid, density) == pytest.approx(0.3989, abs=0.01)
 
 
 def test_kde_integrates_to_one():
@@ -123,20 +123,22 @@ def test_kde_degenerate_sample_is_spike_at_value():
     assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=0.02)
 
 
-@pytest.mark.parametrize("n_grid", [1, 15, 16, 17, 256])
-def test_kde_blocks_equal_one_kernel_matrix(n_grid):
+@pytest.mark.parametrize("block_rows", [1, 15, 16, 17, 256])
+def test_kde_blocks_equal_one_kernel_matrix(block_rows, monkeypatch):
+    # Blocks of 1, 15, 16, 17 and 256 rows split the 256-point grid
+    # evenly, with a short last block, or not at all.
+    monkeypatch.setattr(evaluator, "KDE_BLOCK_ROWS", block_rows)
     x = np.random.default_rng(4).standard_normal(3_000) * 2.0 + 1.0
-    grid, density = kde(x, n_grid=n_grid)
+    grid, density = kde(x)
     bw = evaluator.silverman_bandwidth(x)
-    want = np.linspace(x.min() - 3.0 * bw, x.max() + 3.0 * bw, n_grid)
+    want = np.linspace(x.min() - 3.0 * bw, x.max() + 3.0 * bw, 256)
     assert grid.tobytes() == want.tobytes()
     assert density.tobytes() == kde_oracle(x, want, bw).tobytes()
 
 
 def test_kde_blocks_equal_one_kernel_matrix_on_given_grid_and_spike():
     x = np.random.default_rng(5).standard_normal(500)
-    grid = np.linspace(-4.0, 4.0, 37)
-    _, density = kde(x, grid=grid)
+    grid, density = kde(x)
     want = kde_oracle(x, grid, evaluator.silverman_bandwidth(x))
     assert density.tobytes() == want.tobytes()
     spike = np.full(50, 3.25)

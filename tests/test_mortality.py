@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from superdraw.errors import DataError
-from superdraw.mortality import (LifeTable, load_life_table, projected_qx,
-                                 survival_curve)
+from superdraw.mortality import (BASE_LAG, LifeTable, load_life_table,
+                                 projected_qx, survival_curve)
 
 
 def life_expectancy(table: LifeTable, gender: str, age: int) -> float:
@@ -25,8 +25,7 @@ def toy_table(q, improvement=0.0, lo=60, hi=70):
     imp = np.full(n, improvement)
     return LifeTable(age=np.arange(lo, hi + 1),
                      qx={"male": qs.copy(), "female": qs.copy()},
-                     improvement={"male": imp.copy(), "female": imp.copy()},
-                     base_lag=0)
+                     improvement={"male": imp.copy(), "female": imp.copy()})
 
 
 def test_bundled_table_shape(table):
@@ -44,7 +43,8 @@ def test_projected_qx_no_improvement():
 
 def test_projected_qx_one_step_compounding():
     t = toy_table(0.02, improvement=-0.01)
-    assert projected_qx(t, "male", 60, 1) == pytest.approx(0.02 * 0.99)
+    assert projected_qx(t, "male", 60, 1) == pytest.approx(
+        0.02 * 0.99 ** (BASE_LAG + 1))
 
 
 def test_projected_qx_base_lag_counts_in_exponent(table):
@@ -134,8 +134,7 @@ def test_improvement_raises_life_expectancy(table):
     flat = LifeTable(age=table.age,
                      qx=table.qx,
                      improvement={g: np.zeros_like(v) for g, v in
-                                  table.improvement.items()},
-                     base_lag=table.base_lag)
+                                  table.improvement.items()})
     assert life_expectancy(table, "male", 65) > life_expectancy(flat, "male", 65)
 
 

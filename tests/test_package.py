@@ -1,5 +1,6 @@
 """Package-level guards."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -46,14 +47,6 @@ def test_every_public_name_resolves(monkeypatch):
         assert meth in cls.__dict__, f"superdraw.{short}.{cls_name}.{meth}"
 
 
-# Public names that nothing in the library or the benchmark calls, each
-# with the reason it stays.
-UNREFERENCED_OK = {
-    ("esg", "stationary_state"): "acceptance criterion 7 starts simulations "
-                                 "from the zero-shock fixed point",
-}
-
-
 def _name_uses(path: Path) -> Counter:
     """NAME tokens of one source file, minus the name a `def`/`class`
     statement or a module-level assignment defines. Strings, comments
@@ -84,6 +77,21 @@ def test_every_public_name_has_a_caller():
     for info in pkgutil.iter_modules(superdraw.__path__):
         mod = importlib.import_module(f"superdraw.{info.name}")
         for name in getattr(mod, "__all__", ()):
-            if not uses[name] and (info.name, name) not in UNREFERENCED_OK:
+            if not uses[name]:
                 unused.append(f"superdraw.{info.name}.{name}")
     assert unused == []
+
+
+def test_only_csvblock_imports_csv():
+    # One CSV reader and one CSV writer: every other module goes through
+    # `_csvblock`.
+    def imports_csv(node):
+        if isinstance(node, ast.Import):
+            return any(a.name == "csv" for a in node.names)
+        return isinstance(node, ast.ImportFrom) and node.module == "csv"
+
+    root = Path(superdraw.__file__).resolve().parent
+    importers = [path.stem for path in sorted(root.glob("*.py"))
+                 if any(map(imports_csv, ast.walk(ast.parse(
+                     path.read_text()))))]
+    assert importers == ["_csvblock"]

@@ -50,7 +50,7 @@ def test_he_init_deterministic():
 
 def test_he_init_biases_zero_and_shapes():
     p = he_init(20, 20, 20, seed=0)
-    assert p.widths == (20, 20, 20)
+    assert (p.w0.shape[0], p.w1.shape[0], p.w2.shape[0]) == (20, 20, 20)
     for name in ("b0", "b1", "b2", "b3"):
         assert np.all(getattr(p, name) == 0.0)
     assert p.w0.shape == (20, 4)

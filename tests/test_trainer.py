@@ -269,7 +269,7 @@ def test_adam_three_steps_match_reference():
 def test_zero_iterations_returns_initialization():
     cfg = small_config(iterations=0)
     params, report = train(cfg)
-    init = he_init(*cfg.widths, seed=cfg.seed + 1)
+    init = he_init(seed=cfg.seed + 1)
     for n in PARAM_FIELDS:
         assert np.array_equal(getattr(params, n), getattr(init, n))
     assert report.rows == []
@@ -287,7 +287,7 @@ def test_training_is_deterministic():
 def test_training_moves_parameters_and_logs():
     cfg = small_config(iterations=3)
     params, report = train(cfg)
-    init = he_init(*cfg.widths, seed=cfg.seed + 1)
+    init = he_init(seed=cfg.seed + 1)
     assert not params.allclose(init)
     assert [row[0] for row in report.rows] == [1, 2, 3]
     assert all(np.isfinite(row[1]) for row in report.rows)
@@ -371,17 +371,17 @@ def test_divergent_panel_raises(tmp_path):
 def test_nonfinite_gradient_takes_the_abort_path(tmp_path, monkeypatch):
     # Iteration 2 gets a NaN gradient while its objective stays finite.
     from superdraw import trainer
-    real = trainer.batch_objective
+    real = trainer._sweep
     calls = []
 
-    def poisoned(params, R, Q, curve, cfg):
-        obj, p = real(params, R, Q, curve, cfg)
+    def poisoned(*args):
+        grads = real(*args)
         calls.append(1)
         if len(calls) == 2:
-            p["w3"].grad = np.full_like(p["w3"].value, np.nan)
-        return obj, p
+            grads[PARAM_FIELDS.index("w3")][:] = np.nan
+        return grads
 
-    monkeypatch.setattr(trainer, "batch_objective", poisoned)
+    monkeypatch.setattr(trainer, "_sweep", poisoned)
     cfg = small_config(iterations=3, checkpoint_every=1,
                        checkpoint_dir=str(tmp_path))
     with pytest.raises(NumericError, match="iteration 2"):
