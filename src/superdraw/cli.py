@@ -6,9 +6,9 @@ generator to a historical CSV, `simulate` writes scenario panels,
 against the deterministic strategies, and `demo-path` exports one
 simulated retirement for plotting.
 
-All knobs live in one INI-style config file; command-line flags override
-file values. Every command writes the fully resolved configuration next to
-its outputs, so a result directory is self-describing.
+All knobs live in one INI file, keyed by the fields of `TrainConfig`;
+command-line flags override file values. Every command writes the resolved
+configuration next to its outputs, so a result directory is self-describing.
 
 Exit codes: 0 success, 2 configuration, 3 data, 4 numeric, 5 I/O.
 """
@@ -25,10 +25,8 @@ import numpy as np
 
 from . import esg as esg_mod
 from ._csvblock import write_csv
-from .account import AccountParams, PensionParams
 from .baselines import StrategyKind
 from .errors import ConfigError, DataError, NumericError
-from .esg import EsgParams
 from .evaluator import (POLICY_LABEL, compare, evaluate_policy,
                         median_paths, outperformance_curve,
                         utility_diff_density, write_kde_csv,
@@ -36,34 +34,39 @@ from .evaluator import (POLICY_LABEL, compare, evaluate_policy,
                         write_utilities_csv)
 from .policy import load_checkpoint
 from .trainer import TrainConfig, TrainingAborted, train
-from .utility import UtilityParams
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_IO = 5
 
-_TRAIN_KEYS = {
-    "m_train": int, "iterations": int, "batch_size": int, "seed": int,
-    "horizon": int, "retirement_age": int, "gender": str, "w0": float,
-    "learning_rate": float, "log_every": int, "checkpoint_every": int,
-    "life_table": str,
-}
-# Sections read into the TrainConfig field of the same name.
-_PARAM_SECTIONS = {"utility": UtilityParams, "pension": PensionParams,
-                   "account": AccountParams}
-_PARAM_KEYS = {name: {f.name: type(f.default)
-                      for f in dataclasses.fields(cls)}
-               for name, cls in _PARAM_SECTIONS.items()}
-_EVALUATE_KEYS = {"m_test": int, "test_seed": int}
-_SIMULATE_KEYS = {"m": int, "t": int}
-_ESG_KEYS = {"params_file": str,
-             **{f.name: float for f in dataclasses.fields(EsgParams)}}
+_DEFAULT = TrainConfig()
+
+
+def _schema() -> dict:
+    """{section: {key: type}}: TrainConfig's scalar fields are [train], each
+    parameter-class field is a section, and five keys are not fields."""
+    table = {"train": {}}
+    for f in dataclasses.fields(TrainConfig):
+        value = getattr(_DEFAULT, f.name)
+        if dataclasses.is_dataclass(value):
+            table[f.name] = {k.name: type(getattr(value, k.name))
+                             for k in dataclasses.fields(value)}
+        else:
+            table["train"][f.name] = str if value is None else type(value)
+    table["esg"]["params_file"] = str
+    table["evaluate"] = {"m_test": int, "test_seed": int}
+    table["simulate"] = {"m": int, "t": int}
+    return table
+
+
+_KEYS = _schema()
 
 
 def _new_ini() -> configparser.ConfigParser:
-    """A parser that keeps key case, so `mu_S` reads back as `mu_S`."""
-    cp = configparser.ConfigParser()
+    """A parser that keeps key case, so `mu_S` reads back as `mu_S`, and
+    takes values literally, so a `%` reads back as written."""
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     return cp
 
@@ -75,60 +78,60 @@ def _read_ini(path) -> configparser.ConfigParser:
             cp.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    # [run] says how a config_used.ini was made; reading it back skips it.
+    for name in cp.sections():
+        if name not in _KEYS and name != "run":
+            raise ConfigError(f"{path}: unknown section [{name}]")
     return cp
 
 
-def _section(cp, name: str, allowed: dict) -> dict:
+def _section(cp, name: str) -> dict:
     """Typed key-value view of one section; unknown keys are config errors."""
     if cp is None or not cp.has_section(name):
         return {}
-    out = {}
+    allowed, out = _KEYS[name], {}
     for key, raw in cp.items(name):
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in section [{name}]")
-        cast = allowed[key]
         try:
-            out[key] = cast(raw)
+            out[key] = allowed[key](raw)
         except ValueError:
             raise ConfigError(
                 f"bad value for {name}.{key}: {raw!r}") from None
     return out
 
 
-def _esg_params(cp) -> EsgParams:
-    changes = _section(cp, "esg", _ESG_KEYS)
-    params_file = changes.pop("params_file", None)
-    base = esg_mod.DEFAULT_PARAMS if params_file is None \
-        else esg_mod.load_params(params_file)
-    return dataclasses.replace(base, **changes)
-
-
-def build_train_config(cp, seed_override: int | None = None) -> TrainConfig:
-    """TrainConfig from a parsed INI file; flags win over file values."""
-    t = _section(cp, "train", _TRAIN_KEYS)
-    life_table = t.pop("life_table", None)
+def build_train_config(cp, seed_override: int | None = None,
+                       params_file: str | None = None) -> TrainConfig:
+    """TrainConfig from a parsed INI file; flags win over file values.
+    `params_file` (`[esg] params_file`) gives the base ESG coefficients."""
+    values = _section(cp, "train")
     if seed_override is not None:
-        t["seed"] = seed_override
-    params = {name: cls(**_section(cp, name, _PARAM_KEYS[name]))
-              for name, cls in _PARAM_SECTIONS.items()}
-    return TrainConfig(**params, esg=_esg_params(cp),
-                       life_table_path=life_table, **t)
+        values["seed"] = seed_override
+    for name in _KEYS:
+        base = getattr(_DEFAULT, name, None)
+        if not dataclasses.is_dataclass(base):
+            continue            # [train], [evaluate], [simulate]
+        changes = _section(cp, name)
+        if name == "esg":
+            in_file = changes.pop("params_file", None)
+            path = in_file if params_file is None else params_file
+            if path is not None:
+                base = esg_mod.load_params(path)
+        values[name] = dataclasses.replace(base, **changes)
+    return TrainConfig(**values)
 
 
 def _echo_config(cfg: TrainConfig, out_dir: Path, extra: dict | None = None):
     """Resolved settings, written next to the outputs."""
     cp = _new_ini()
-    train_values = {k: getattr(cfg, k) for k in _TRAIN_KEYS
-                    if k != "life_table"}
-    cp["train"] = {k: v if isinstance(v, str) else repr(v)
-                   for k, v in train_values.items()}
-    if cfg.life_table_path:
-        cp["train"]["life_table"] = str(cfg.life_table_path)
-    for name in _PARAM_SECTIONS:
-        cp[name] = {k: repr(getattr(getattr(cfg, name), k))
-                    for k in _PARAM_KEYS[name]}
-    cp["esg"] = {f.name: repr(getattr(cfg.esg, f.name))
-                 for f in dataclasses.fields(EsgParams)}
+    for name, keys in _KEYS.items():
+        owner = cfg if name == "train" else getattr(cfg, name, None)
+        if owner is None:
+            continue
+        values = {k: getattr(owner, k, None) for k in keys}
+        cp[name] = {k: v if isinstance(v, str) else repr(v)
+                    for k, v in values.items() if v is not None}
     if extra:
         cp["run"] = {k: str(v) for k, v in extra.items()}
     with open(out_dir / "config_used.ini", "w") as fh:
@@ -171,15 +174,12 @@ def cmd_calibrate(args) -> int:
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
     cp = _read_ini(args.config) if args.config else None
-    cfg = build_train_config(cp, seed_override=args.seed)
-    sim = _section(cp, "simulate", _SIMULATE_KEYS)
+    cfg = build_train_config(cp, seed_override=args.seed,
+                             params_file=args.params)
+    sim = _section(cp, "simulate")
     m = args.m if args.m is not None else sim.get("m", 1_000)
     T = args.t if args.t is not None else sim.get("t", cfg.horizon)
-    if args.params:
-        cfg = dataclasses.replace(cfg, esg=esg_mod.load_params(args.params))
-    panel = esg_mod.simulate(cfg.esg, cfg.initial_econ_state(), m, T,
-                             seed=cfg.seed, omega=cfg.account.omega)
-    esg_mod.panel_to_csv(panel, out / "panel.csv")
+    esg_mod.panel_to_csv(cfg.panel(m, cfg.seed, T), out / "panel.csv")
     _echo_config(cfg, out, {"command": "simulate", "m": m, "t": T})
     print(f"wrote {out / 'panel.csv'}: {m} paths x {T + 1} years, "
           f"seed {cfg.seed}")
@@ -190,24 +190,21 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     cp = _read_ini(args.config) if args.config else None
     cfg = build_train_config(cp, seed_override=args.seed)
-    if cfg.checkpoint_dir is None:
-        cfg = dataclasses.replace(cfg, checkpoint_dir=str(out / "checkpoints"))
-    if cfg.checkpoint_every == 0:
-        cfg = dataclasses.replace(
-            cfg, checkpoint_every=max(cfg.log_every, 1) * 5)
+    checkpoint_dir = out / "checkpoints"
     _echo_config(cfg, out, {"command": "train"})
 
     def progress(it, obj):
         print(f"iter {it:6d}  objective {obj:.2f}", flush=True)
 
     try:
-        params, report = train(cfg, progress=progress)
+        params, report = train(cfg, progress=progress,
+                               checkpoint_dir=checkpoint_dir)
     except TrainingAborted as exc:
         exc.report.to_csv(out / "report.csv")
         raise
     report.to_csv(out / "report.csv")
     print(f"trained {cfg.iterations} iterations; "
-          f"final checkpoint in {cfg.checkpoint_dir}")
+          f"final checkpoint in {checkpoint_dir}")
     return 0
 
 
@@ -255,7 +252,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     cp = _read_ini(args.config) if args.config else None
     cfg = build_train_config(cp)
-    ev = _section(cp, "evaluate", _EVALUATE_KEYS)
+    ev = _section(cp, "evaluate")
     m_test = args.m_test if args.m_test is not None else ev.get("m_test", 1_000)
     test_seed = args.seed if args.seed is not None else \
         ev.get("test_seed", cfg.seed + 1_000)
@@ -265,9 +262,7 @@ def cmd_evaluate(args) -> int:
     # Every checkpoint is checked before any output is written.
     seq = _checkpoint_sequence(args.checkpoint, cfg) \
         if Path(args.checkpoint).is_dir() else [(meta["iteration"], params)]
-    panel = esg_mod.simulate(cfg.esg, cfg.initial_econ_state(), m_test,
-                             cfg.horizon, seed=test_seed,
-                             omega=cfg.account.omega)
+    panel = cfg.panel(m_test, test_seed)
     curve = cfg.curve()
     strategies = list(StrategyKind)
     report = compare(params, strategies, panel, cfg, curve=curve, record=True)
@@ -307,8 +302,7 @@ def cmd_demo_path(args) -> int:
     cfg = build_train_config(cp)
     seed = args.seed if args.seed is not None else cfg.seed + 2_000
     params, _ = _load_policy(args.checkpoint, cfg)
-    panel = esg_mod.simulate(cfg.esg, cfg.initial_econ_state(), 1,
-                             cfg.horizon, seed=seed, omega=cfg.account.omega)
+    panel = cfg.panel(1, seed)
     totals, rec = evaluate_policy(params, panel, cfg.curve(), cfg,
                                   record=True)
     write_csv(out / "demo_path.csv",
@@ -341,13 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("calibrate", help="fit scenario-generator parameters")
-    common(p)
+    p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--history", help="historical CSV (default: bundled)")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("simulate", help="write a scenario panel CSV")
     common(p)
-    p.add_argument("--params", help="parameter file from `calibrate`")
+    p.add_argument("--params", help="[esg] params_file: a `calibrate` output")
     p.add_argument("--m", type=int, help="number of paths")
     p.add_argument("--t", type=int, help="horizon in years")
     p.set_defaults(func=cmd_simulate)

@@ -78,8 +78,6 @@ class LifeTable:
 class SurvivalCurve:
     """tpx[t] = P(alive at x+t | alive at x); dq[t] = P(die in year t)."""
 
-    x: int
-    gender: str
     tpx: np.ndarray
     dq: np.ndarray
 
@@ -139,4 +137,4 @@ def survival_curve(table: LifeTable, gender: str, x: int, T: int) -> SurvivalCur
         q = projected_qx(table, gender, x + t - 1, t - 1)
         dq[t] = tpx[t - 1] * q
         tpx[t] = tpx[t - 1] * (1.0 - q)
-    return SurvivalCurve(x=x, gender=gender, tpx=tpx, dq=dq)
+    return SurvivalCurve(tpx=tpx, dq=dq)

@@ -182,6 +182,9 @@ def save_checkpoint(path, params: MlpParams, norm: PolicyNorm,
 
 def load_checkpoint(path):
     """Returns (MlpParams, PolicyNorm, meta dict)."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            raise DataError(f"{path}: not a checkpoint archive (.npz)")
     try:
         with np.load(path, allow_pickle=False) as data:
             version = int(data["version"])

@@ -72,9 +72,8 @@ class TrainConfig:
     esg: EsgParams = esg_mod.DEFAULT_PARAMS
     learning_rate: float = 5e-4
     log_every: int = 100
-    checkpoint_every: int = 0
-    checkpoint_dir: str | None = None
-    life_table_path: str | None = None      # None: bundled table
+    checkpoint_every: int = 0               # 0: 5 x log_every
+    life_table: str | None = None           # None: bundled table
 
     def __post_init__(self):
         if self.batch_size > self.m_train:
@@ -83,6 +82,10 @@ class TrainConfig:
             raise ConfigError("iterations must be >= 0, m_train >= 1")
         if self.w0 < 0 or self.horizon < 0:
             raise ConfigError("w0 and horizon must be non-negative")
+        if self.log_every < 1 or self.checkpoint_every < 0:
+            raise ConfigError("log_every must be >= 1, checkpoint_every >= 0")
+        if self.checkpoint_every == 0:
+            self.checkpoint_every = 5 * self.log_every
 
     def effective_utility(self) -> UtilityParams:
         """Utility parameters actually used in objectives.
@@ -100,7 +103,7 @@ class TrainConfig:
                           wealth_scale=self.w0 if self.w0 > 0 else 1.0)
 
     def curve(self) -> SurvivalCurve:
-        table = load_life_table(self.life_table_path)
+        table = load_life_table(self.life_table)
         return survival_curve(table, self.gender, self.retirement_age,
                               self.horizon)
 
@@ -108,10 +111,14 @@ class TrainConfig:
         history = esg_mod.load_history(esg_mod.bundled_history_path())
         return esg_mod.initial_state_from_history(history)
 
-    def training_panel(self) -> ScenarioPanel:
-        return esg_mod.simulate(self.esg, self.initial_econ_state(),
-                                self.m_train, self.horizon, seed=self.seed,
+    def panel(self, M: int, seed: int, T: int | None = None) -> ScenarioPanel:
+        """M scenario paths over T years (default: the horizon)."""
+        return esg_mod.simulate(self.esg, self.initial_econ_state(), M,
+                                self.horizon if T is None else T, seed=seed,
                                 omega=self.account.omega)
+
+    def training_panel(self) -> ScenarioPanel:
+        return self.panel(self.m_train, self.seed)
 
 
 @dataclass
@@ -344,7 +351,7 @@ def adam_step(state: AdamState, params: MlpParams,
 
 
 def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
-          progress=None) -> tuple[MlpParams, TrainReport]:
+          progress=None, checkpoint_dir=None) -> tuple[MlpParams, TrainReport]:
     """Maximize the expected lifetime utility by minibatch gradient ascent.
 
     Deterministic for a fixed config: the scenario panel derives from
@@ -352,7 +359,7 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
     from cfg.seed + 2. Pass `panel` to reuse a pre-simulated training panel
     (it must match cfg.m_train and cfg.horizon). `progress`, if given, is
     called with (iteration, objective) at the logging cadence. With
-    `cfg.checkpoint_dir` set, numbered checkpoints are written at iteration
+    `checkpoint_dir` set, numbered checkpoints are written at iteration
     0, every `checkpoint_every` iterations and at the last one, which
     `checkpoint_final.npz` repeats. A non-finite step raises
     `TrainingAborted`, which carries the rows logged before it.
@@ -366,11 +373,15 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
     adam = AdamState.fresh(params, alpha=cfg.learning_rate)
     batch_rng = np.random.default_rng(cfg.seed + 2)
     report = TrainReport()
-    ckpt_dir = Path(cfg.checkpoint_dir) if cfg.checkpoint_dir else None
-    if ckpt_dir:
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(ckpt_dir / "checkpoint_000000.npz", params,
-                        cfg.norm(), iteration=0)
+
+    def save(name: str, iteration: int) -> None:
+        """The current `params` as checkpoint_<name>.npz, if checkpointing."""
+        if checkpoint_dir:
+            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+            save_checkpoint(Path(checkpoint_dir) / f"checkpoint_{name}.npz",
+                            params, cfg.norm(), iteration=iteration)
+
+    save("000000", 0)
 
     phase_ms = np.zeros(3)        # forward, backward, adam since last row
     t_start = time.perf_counter()
@@ -395,26 +406,19 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
             grads = MlpParams(**{n: -p[n].grad for n in PARAM_FIELDS})
             adam, params = adam_step(adam, params, grads)
         except NumericError as exc:
-            if ckpt_dir:
-                save_checkpoint(ckpt_dir / "checkpoint_abort.npz", params,
-                                cfg.norm(), iteration=it - 1)
+            save("abort", it - 1)
             raise TrainingAborted(f"{exc} at iteration {it}", report) \
                 from None
         phase_ms += np.array([t1 - t0, t2 - t1, time.perf_counter() - t2]) \
             * 1e3
 
-        if it % max(cfg.log_every, 1) == 0 or it == cfg.iterations:
+        if it % cfg.log_every == 0 or it == cfg.iterations:
             ms = (time.perf_counter() - t_start) * 1e3
             report.rows.append((it, value, ms, *phase_ms.tolist()))
             phase_ms[:] = 0.0
             if progress is not None:
                 progress(it, value)
-        if ckpt_dir and (it == cfg.iterations or cfg.checkpoint_every > 0
-                         and it % cfg.checkpoint_every == 0):
-            save_checkpoint(ckpt_dir / f"checkpoint_{it:06d}.npz", params,
-                            cfg.norm(), iteration=it)
-
-    if ckpt_dir:
-        save_checkpoint(ckpt_dir / "checkpoint_final.npz", params,
-                        cfg.norm(), iteration=cfg.iterations)
+        if it == cfg.iterations or it % cfg.checkpoint_every == 0:
+            save(f"{it:06d}", it)
+    save("final", cfg.iterations)
     return params, report

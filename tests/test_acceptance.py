@@ -50,9 +50,7 @@ def desk_train_panel():
 
 @pytest.fixture(scope="session")
 def held_out_panel():
-    cfg = TrainConfig(**DESK)
-    return esg.simulate(cfg.esg, cfg.initial_econ_state(), M_TEST,
-                        cfg.horizon, seed=TEST_SEED, omega=cfg.account.omega)
+    return TrainConfig(**DESK).panel(M_TEST, TEST_SEED)
 
 
 def _train_variant(panel, **overrides) -> TrainedPolicy:

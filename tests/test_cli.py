@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from superdraw.cli import main
-from superdraw.esg import load_params
+from superdraw.esg import DEFAULT_PARAMS, load_params
 
 
 def run(argv):
@@ -20,6 +20,14 @@ def run(argv):
 def write_config(path, text):
     path.write_text(text)
     return str(path)
+
+
+def exit_code(argv):
+    """`run`'s exit code, or argparse's when it rejects the command line."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 TINY_TRAIN = """
@@ -130,6 +138,32 @@ def test_simulate_config_used_reads_back(tmp_path):
                 "--t", 6, "--out", second]) == 0
     assert (second / "panel.csv").read_bytes() == \
         (first / "panel.csv").read_bytes()
+
+
+def test_simulate_params_file_takes_esg_keys_on_top(tmp_path):
+    # --params is the flag form of [esg] params_file: the file gives the
+    # base coefficients and the section's keys apply on top.
+    from superdraw.cli import _read_ini, build_train_config
+    cal = tmp_path / "cal"
+    assert run(["calibrate", "--out", cal]) == 0
+    params = cal / "params.ini"
+    argv = ["simulate", "--m", 5, "--t", 3, "--seed", 4]
+    keyed = write_config(tmp_path / "keyed.ini", "[esg]\nsigma_q = 0.5\n")
+    in_file = write_config(tmp_path / "in_file.ini",
+                           f"[esg]\nparams_file = {params}\nsigma_q = 0.5\n")
+    outs = {name: tmp_path / name for name in ("plain", "flag", "key")}
+    assert run([*argv, "--params", params, "--out", outs["plain"]]) == 0
+    assert run([*argv, "--params", params, "--config", keyed,
+                "--out", outs["flag"]]) == 0
+    assert run([*argv, "--config", in_file, "--out", outs["key"]]) == 0
+    echoed = (outs["flag"] / "config_used.ini").read_text()
+    assert "sigma_q = 0.5" in echoed.splitlines()
+    assert build_train_config(_read_ini(outs["flag"] / "config_used.ini")) \
+        .esg == dataclasses.replace(load_params(params), sigma_q=0.5)
+    panel = {name: (out / "panel.csv").read_bytes()
+             for name, out in outs.items()}
+    assert panel["flag"] != panel["plain"]
+    assert panel["flag"] == panel["key"]
 
 
 # -------------------------------------------------------------------- train
@@ -269,14 +303,12 @@ def test_evaluate_rejects_training_seed(trained_run, tmp_path):
 
 def _recount_outperformance(cfgp, ckpt_dir, m_test, seed):
     """(iter, strategy, count) rows from a fresh `compare` per snapshot."""
-    from superdraw import esg
     from superdraw.baselines import StrategyKind
     from superdraw.cli import _read_ini, build_train_config
     from superdraw.evaluator import compare
     from superdraw.policy import load_checkpoint
     cfg = build_train_config(_read_ini(cfgp))
-    panel = esg.simulate(cfg.esg, cfg.initial_econ_state(), m_test,
-                         cfg.horizon, seed=seed, omega=cfg.account.omega)
+    panel = cfg.panel(m_test, seed)
     curve = cfg.curve()
     rows = []
     for f in sorted(ckpt_dir.glob("checkpoint_0*.npz")):
@@ -397,7 +429,10 @@ def test_evaluate_corrupt_checkpoint_exit_codes(trained_run, tmp_path, capsys,
         bad.write_text("iter,objective\n1,0.5\n")
     assert run(["evaluate", "--config", cfgp, "--checkpoint", bad,
                 "--m-test", 10, "--out", tmp_path / "eval"]) == code
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    if kind == "not_zip":
+        assert f"{bad}: not a checkpoint archive" in err
 
 
 # ---------------------------------------------------------------- demo-path
@@ -462,8 +497,34 @@ mu_q = 0.05
     assert "mu_q = 0.05" in echoed
 
 
-# A non-default value for every field of the three parameter sections.
+@pytest.mark.parametrize("argv,text,message", [
+    (["train", "--config"], TINY_TRAIN + "[utilty]\nrho = 2\n",
+     "unknown section [utilty]"),
+    (["train", "--config"],
+     TINY_TRAIN.replace("log_every = 10", "log_every = 0"), "log_every"),
+    (["train", "--config"], TINY_TRAIN + "checkpoint_every = -1\n",
+     "checkpoint_every"),
+    (["calibrate", "--config"], TINY_TRAIN, "--config"),
+    (["calibrate", "--seed", 3], None, "--seed"),
+], ids=["misspelt_section", "log_every_0", "checkpoint_every_negative",
+        "calibrate_config", "calibrate_seed"])
+def test_input_that_would_be_ignored_is_rejected(tmp_path, capsys, argv,
+                                                 text, message):
+    if text is not None:
+        argv = [*argv, write_config(tmp_path / "x.ini", text)]
+    assert exit_code([*argv, "--out", tmp_path / "out"]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+# A non-default value for every [train] key and every field of the four
+# parameter sections; life_table is set in the test, to a copy of the
+# bundled table whose name holds a `%`.
 SECTION_OVERRIDES = {
+    "train": {"m_train": 64, "iterations": 6, "batch_size": 32, "seed": 5,
+              "horizon": 8, "retirement_age": 68, "gender": "female",
+              "w0": 400_000.0, "learning_rate": 1e-3, "log_every": 2,
+              "checkpoint_every": 3},
     "utility": {"rho": 3.5, "phi": 0.25, "floor_epsilon": 1e-9,
                 "wealth_unit": 250_000.0},
     "pension": {"a_max": 25_000.5, "w_a": 270_000.0, "tau_a": 0.0031,
@@ -471,6 +532,8 @@ SECTION_OVERRIDES = {
                 "r2": 0.021, "tau_i": 0.45, "fortnights_per_year": 27},
     "account": {"omega": 0.6, "admin_fee": 60.0,
                 "indirect_cost_ratio": 0.007, "investment_fee": 0.004},
+    "esg": {f.name: round(0.9 * getattr(DEFAULT_PARAMS, f.name), 6)
+            for f in dataclasses.fields(DEFAULT_PARAMS)},
 }
 
 
@@ -479,11 +542,17 @@ SECTION_OVERRIDES = {
 def test_param_sections_reach_config_and_echo_back(tmp_path, monkeypatch,
                                                    argv):
     from superdraw import cli
+    from superdraw.mortality import bundled_life_table_path
     from superdraw.trainer import TrainConfig
-    text = TINY_TRAIN
-    for name, values in SECTION_OVERRIDES.items():
-        text += f"[{name}]\n" + "".join(f"{k} = {v!r}\n"
-                                        for k, v in values.items())
+    table = tmp_path / "lt%1.csv"
+    table.write_bytes(bundled_life_table_path().read_bytes())
+    overrides = {**SECTION_OVERRIDES, "train": {
+        **SECTION_OVERRIDES["train"], "life_table": str(table)}}
+    text = ""
+    for name, values in overrides.items():
+        text += f"[{name}]\n" + "".join(
+            f"{k} = {v if isinstance(v, str) else repr(v)}\n"
+            for k, v in values.items())
     cfgp = write_config(tmp_path / "cfg.ini", text)
     built = []
     real = cli.build_train_config
@@ -497,15 +566,22 @@ def test_param_sections_reach_config_and_echo_back(tmp_path, monkeypatch,
     assert run([*argv, "--config", cfgp, "--out", out]) == 0
     cfg = built[0]
     echoed = real(cli._read_ini(out / "config_used.ini"))
+    assert f"life_table = {table}" in \
+        (out / "config_used.ini").read_text().splitlines()
     default = TrainConfig()
-    for name, values in SECTION_OVERRIDES.items():
-        section = getattr(cfg, name)
-        assert set(values) == {f.name for f in dataclasses.fields(section)}
+    for name, values in overrides.items():
+        section, base, back = (cfg, default, echoed) if name == "train" else (
+            getattr(x, name) for x in (cfg, default, echoed))
+        fields = {f.name for f in dataclasses.fields(section)}
+        if name == "train":
+            fields = {k for k in fields
+                      if not dataclasses.is_dataclass(getattr(cfg, k))}
+        assert set(values) == fields, name
         for key, value in values.items():
             got = getattr(section, key)
             assert got == value and type(got) is type(value), (name, key)
-            assert value != getattr(getattr(default, name), key)
-        assert getattr(echoed, name) == section
+            assert value != getattr(base, key), (name, key)
+            assert getattr(back, key) == value, (name, key)
 
 
 def test_console_script_entry_point(tmp_path):

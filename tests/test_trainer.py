@@ -324,9 +324,8 @@ def test_trained_policy_respects_constraints():
 
 
 def test_checkpoint_cadence_and_final_state(tmp_path):
-    cfg = small_config(iterations=4, checkpoint_every=2,
-                       checkpoint_dir=str(tmp_path))
-    params, _ = train(cfg)
+    cfg = small_config(iterations=4, checkpoint_every=2)
+    params, _ = train(cfg, checkpoint_dir=tmp_path)
     names = sorted(p.name for p in tmp_path.glob("*.npz"))
     assert names == ["checkpoint_000000.npz", "checkpoint_000002.npz",
                      "checkpoint_000004.npz", "checkpoint_final.npz"]
@@ -340,9 +339,8 @@ def test_checkpoint_cadence_and_final_state(tmp_path):
 def test_last_iteration_gets_a_numbered_checkpoint(tmp_path):
     # 3 iterations at a cadence of 2: the trained policy is numbered too,
     # and the final checkpoint is the same file.
-    cfg = small_config(iterations=3, checkpoint_every=2,
-                       checkpoint_dir=str(tmp_path))
-    train(cfg)
+    cfg = small_config(iterations=3, checkpoint_every=2)
+    train(cfg, checkpoint_dir=tmp_path)
     names = sorted(p.name for p in tmp_path.glob("*.npz"))
     assert names == ["checkpoint_000000.npz", "checkpoint_000002.npz",
                      "checkpoint_000003.npz", "checkpoint_final.npz"]
@@ -359,11 +357,11 @@ def test_train_rejects_mismatched_panel():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_divergent_panel_raises(tmp_path):
-    cfg = small_config(iterations=2, checkpoint_dir=str(tmp_path))
+    cfg = small_config(iterations=2)
     panel = synthetic_panel(cfg.m_train, cfg.horizon)
     panel.R[:, 1] = 1e6
     with pytest.raises(NumericError, match="iteration 1"):
-        train(cfg, panel=panel)
+        train(cfg, panel=panel, checkpoint_dir=tmp_path)
     assert load_checkpoint(tmp_path / "checkpoint_abort.npz")[2][
         "iteration"] == 0
 
@@ -382,10 +380,9 @@ def test_nonfinite_gradient_takes_the_abort_path(tmp_path, monkeypatch):
         return grads
 
     monkeypatch.setattr(trainer, "_sweep", poisoned)
-    cfg = small_config(iterations=3, checkpoint_every=1,
-                       checkpoint_dir=str(tmp_path))
+    cfg = small_config(iterations=3, checkpoint_every=1)
     with pytest.raises(NumericError, match="iteration 2"):
-        train(cfg)
+        train(cfg, checkpoint_dir=tmp_path)
     abort, _, meta = load_checkpoint(tmp_path / "checkpoint_abort.npz")
     good, _, _ = load_checkpoint(tmp_path / "checkpoint_000001.npz")
     assert meta["iteration"] == 1

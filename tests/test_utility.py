@@ -17,7 +17,7 @@ def curve_from_tpx(tpx):
     tpx = np.asarray(tpx, dtype=float)
     dq = np.zeros_like(tpx)
     dq[1:] = tpx[:-1] - tpx[1:]
-    return SurvivalCurve(x=67, gender="male", tpx=tpx, dq=dq)
+    return SurvivalCurve(tpx=tpx, dq=dq)
 
 
 def test_params_validation():
