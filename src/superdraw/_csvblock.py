@@ -11,12 +11,25 @@ fixed text such as a strategy label sits in the template rather than in
 every row. Templates carry their own line ends, and fields are quoted as
 `csv.writer` quotes them (`literal`). Blocks stay small so that memory
 does not grow with the export.
+
+Formatting is Python `%` work that holds the interpreter lock, so a file's
+second part (`tail`) can be formatted by a forked helper process into an
+unlinked temporary file while this process formats the first part, and is
+then appended. Both processes run the same block loop, so the bytes are
+those of writing every section in one process, which is what happens when
+`os.fork` is missing or fewer than two CPUs are usable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
+import shutil
+import signal
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -65,12 +78,86 @@ def literal(text: str) -> str:
     return text.replace("%", "%%")
 
 
-def write_csv(path, header: str, sections) -> None:
-    """Write the `header` line, then each (row, blocks) pair of `sections`:
-    every (rows, fields) array that `blocks` yields, as the %-template
-    `row` filled per row. `%d` takes integral floats as well."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        for row, blocks in sections:
-            for block in blocks:
-                fh.write(row * len(block) % tuple(np.ravel(block).tolist()))
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _write_rows(fh, sections) -> None:
+    for row, blocks in sections:
+        for block in blocks:
+            fh.write(row * len(block) % tuple(np.ravel(block).tolist()))
+
+
+@contextlib.contextmanager
+def _helper(directory, sections):
+    """Fork a process that writes `sections` into an unlinked temporary
+    file in `directory`. Yields a function that reaps it and returns that
+    file at offset 0; a helper not reaped by then is killed and reaped.
+
+    Forking a process that has BLAS threads is safe here because the
+    helper only slices arrays and formats text.
+    """
+    with tempfile.TemporaryFile(dir=directory) as tmp:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                with open(tmp.fileno(), "w", newline="",
+                          closefd=False) as out:
+                    _write_rows(out, sections)
+                status = 0
+            except BaseException as exc:
+                # The helper never returns into the caller's code; its
+                # failure reaches the parent as the exit status.
+                os.write(2, f"CSV helper process: {exc!r}\n".encode())
+            finally:
+                os._exit(status)
+        running = True
+
+        def reap():
+            nonlocal running
+            _, wait_status = os.waitpid(pid, 0)
+            running = False
+            code = os.waitstatus_to_exitcode(wait_status)
+            if code:
+                raise OSError(f"CSV helper process {pid} exited with "
+                              f"status {code}")
+            tmp.seek(0)
+            return tmp
+
+        try:
+            yield reap
+        finally:
+            if running:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def write_csv(path, header: str, sections, tail=()) -> None:
+    """Write the `header` line, then each (row, blocks) pair of `sections`
+    and then of `tail`: every (rows, fields) array that `blocks` yields, as
+    the %-template `row` filled per row. `%d` takes integral floats as well.
+
+    With `os.fork` and two usable CPUs, `tail` is formatted by a helper
+    process at the same time as `sections` and appended, byte for byte
+    what one process writes. A failure on either side kills and reaps the
+    helper and removes the partial file.
+    """
+    split = bool(tail) and hasattr(os, "fork") and _usable_cpus() >= 2
+    fh = open(path, "w", newline="")
+    try:
+        with fh, _helper(Path(path).parent, tail) if split \
+                else contextlib.nullcontext() as reap:
+            fh.write(header)
+            _write_rows(fh, sections)
+            if split:
+                fh.flush()
+                shutil.copyfileobj(reap(), fh.buffer, 1 << 20)
+            else:
+                _write_rows(fh, tail)
+    except BaseException:
+        os.unlink(path)
+        raise

@@ -187,9 +187,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out = _out_dir(args)
     cp = _read_ini(args.config) if args.config else None
     cfg = build_train_config(cp, seed_override=args.seed)
+    curve = cfg.curve()         # checked before anything is written
+    out = _out_dir(args)
     checkpoint_dir = out / "checkpoints"
     _echo_config(cfg, out, {"command": "train"})
 
@@ -198,7 +199,7 @@ def cmd_train(args) -> int:
 
     try:
         params, report = train(cfg, progress=progress,
-                               checkpoint_dir=checkpoint_dir)
+                               checkpoint_dir=checkpoint_dir, curve=curve)
     except TrainingAborted as exc:
         exc.report.to_csv(out / "report.csv")
         raise
@@ -249,7 +250,6 @@ def _checkpoint_sequence(path, cfg: TrainConfig):
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args)
     cp = _read_ini(args.config) if args.config else None
     cfg = build_train_config(cp)
     ev = _section(cp, "evaluate")
@@ -262,8 +262,9 @@ def cmd_evaluate(args) -> int:
     # Every checkpoint is checked before any output is written.
     seq = _checkpoint_sequence(args.checkpoint, cfg) \
         if Path(args.checkpoint).is_dir() else [(meta["iteration"], params)]
-    panel = cfg.panel(m_test, test_seed)
     curve = cfg.curve()
+    panel = cfg.panel(m_test, test_seed)
+    out = _out_dir(args)
     strategies = list(StrategyKind)
     report = compare(params, strategies, panel, cfg, curve=curve, record=True)
     write_utilities_csv(report, out / "utilities.csv")
@@ -297,7 +298,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_demo_path(args) -> int:
-    out = _out_dir(args)
     cp = _read_ini(args.config) if args.config else None
     cfg = build_train_config(cp)
     seed = args.seed if args.seed is not None else cfg.seed + 2_000
@@ -305,6 +305,7 @@ def cmd_demo_path(args) -> int:
     panel = cfg.panel(1, seed)
     totals, rec = evaluate_policy(params, panel, cfg.curve(), cfg,
                                   record=True)
+    out = _out_dir(args)
     write_csv(out / "demo_path.csv",
               "age,q,R,consumption_real,wealth_real,pension_real\n",
               [("%d" + ",%.10g" * 5 + "\n", [np.column_stack([

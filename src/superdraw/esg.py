@@ -438,18 +438,24 @@ def panel_to_csv(panel: ScenarioPanel, path) -> None:
     The header is `path,t,q,s,e,n,b,o,h,R,Q`; rows run over t = 0..T within
     each path, paths in order. `path` and `t` are integers and every column
     value is formatted as `%.10g`; lines end in CRLF, as `csv.writer`
-    writes them.
+    writes them. With two or more paths, paths [M // 2, M) are the file's
+    `tail`: on a machine with two usable CPUs a forked helper formats them
+    while this process formats the first half, and the file is
+    byte-identical to one written by a single process.
     """
     years = np.arange(panel.T + 1)
     step = max(1, BLOCK_ROWS // (panel.T + 1))
 
-    def blocks():
-        for m0 in range(0, panel.M, step):
-            cols = [getattr(panel, c)[m0:m0 + step] for c in _PANEL_COLUMNS]
-            paths = np.arange(m0, m0 + len(cols[0]))
-            yield np.stack([*np.broadcast_arrays(paths[:, None], years),
-                            *cols], axis=-1).reshape(-1, 2 + len(cols))
+    def blocks(m_start, m_stop):
+        for m0 in range(m_start, m_stop, step):
+            m1 = min(m0 + step, m_stop)
+            cols = [getattr(panel, c)[m0:m1] for c in _PANEL_COLUMNS]
+            yield np.stack([*np.broadcast_arrays(np.arange(m0, m1)[:, None],
+                                                 years), *cols],
+                           axis=-1).reshape(-1, 2 + len(cols))
 
-    write_csv(path, "path,t," + ",".join(_PANEL_COLUMNS) + "\r\n", [(
-        "%d,%d," + ",".join(["%.10g"] * len(_PANEL_COLUMNS)) + "\r\n",
-        blocks())])
+    row = "%d,%d," + ",".join(["%.10g"] * len(_PANEL_COLUMNS)) + "\r\n"
+    half = panel.M // 2 if panel.M >= 2 else panel.M
+    write_csv(path, "path,t," + ",".join(_PANEL_COLUMNS) + "\r\n",
+              [(row, blocks(0, half))],
+              [(row, blocks(half, panel.M))] if half < panel.M else ())

@@ -34,7 +34,8 @@ from .account import (AccountParams, PensionParams, age_pension, fees,
 from .autodiff import Tensor
 from .errors import ConfigError, NumericError
 from .esg import EconState, EsgParams, ScenarioPanel
-from .mortality import SurvivalCurve, load_life_table, survival_curve
+from .mortality import (_GENDERS, SurvivalCurve, load_life_table,
+                        survival_curve)
 from .policy import (PARAM_FIELDS, MlpParams, PolicyNorm, fraction_backward,
                      he_init, normalized_inputs, policy_fraction,
                      save_checkpoint)
@@ -84,6 +85,9 @@ class TrainConfig:
             raise ConfigError("w0 and horizon must be non-negative")
         if self.log_every < 1 or self.checkpoint_every < 0:
             raise ConfigError("log_every must be >= 1, checkpoint_every >= 0")
+        if self.gender not in _GENDERS:
+            raise ConfigError(f"gender must be one of {_GENDERS}, "
+                              f"got {self.gender!r}")
         if self.checkpoint_every == 0:
             self.checkpoint_every = 5 * self.log_every
 
@@ -103,7 +107,15 @@ class TrainConfig:
                           wealth_scale=self.w0 if self.w0 > 0 else 1.0)
 
     def curve(self) -> SurvivalCurve:
+        """Survival curve over the horizon; a horizon that runs past the
+        life table's terminal age is a configuration error."""
         table = load_life_table(self.life_table)
+        if not table.min_age <= self.retirement_age <= \
+                table.terminal_age + 1 - self.horizon:
+            raise ConfigError(
+                f"retirement_age {self.retirement_age} + horizon "
+                f"{self.horizon} does not fit the life table's ages "
+                f"{table.min_age}-{table.terminal_age}")
         return survival_curve(table, self.gender, self.retirement_age,
                               self.horizon)
 
@@ -351,20 +363,23 @@ def adam_step(state: AdamState, params: MlpParams,
 
 
 def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
-          progress=None, checkpoint_dir=None) -> tuple[MlpParams, TrainReport]:
+          progress=None, checkpoint_dir=None,
+          curve: SurvivalCurve | None = None) -> tuple[MlpParams, TrainReport]:
     """Maximize the expected lifetime utility by minibatch gradient ascent.
 
     Deterministic for a fixed config: the scenario panel derives from
     cfg.seed, the initialization from cfg.seed + 1, and the batch schedule
     from cfg.seed + 2. Pass `panel` to reuse a pre-simulated training panel
-    (it must match cfg.m_train and cfg.horizon). `progress`, if given, is
+    (it must match cfg.m_train and cfg.horizon), and `curve` to reuse
+    `cfg.curve()`. `progress`, if given, is
     called with (iteration, objective) at the logging cadence. With
     `checkpoint_dir` set, numbered checkpoints are written at iteration
     0, every `checkpoint_every` iterations and at the last one, which
     `checkpoint_final.npz` repeats. A non-finite step raises
     `TrainingAborted`, which carries the rows logged before it.
     """
-    curve = cfg.curve()
+    if curve is None:
+        curve = cfg.curve()
     if panel is None:
         panel = cfg.training_panel()
     if panel.M != cfg.m_train or panel.T != cfg.horizon:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -112,7 +113,20 @@ def test_simulate_row_count_and_determinism(tmp_path):
     rows_a = (out_a / "panel.csv").read_text()
     assert rows_a == (out_b / "panel.csv").read_text()
     assert len(rows_a.strip().splitlines()) == 1 + 20 * 6
-    assert (out_a / "config_used.ini").exists()
+    # The panel's second half may be written by a helper process: none is
+    # left running, and its temporary file is gone.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(p.name for p in out_a.iterdir()) == ["config_used.ini",
+                                                      "panel.csv"]
+
+
+def test_simulate_out_under_a_regular_file_is_io_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert run(["simulate", "--m", 4, "--t", 2,
+                "--out", tmp_path / "file" / "sub"]) == 5
+    assert "i/o error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_simulate_mean_inflation(tmp_path):
@@ -435,6 +449,19 @@ def test_evaluate_corrupt_checkpoint_exit_codes(trained_run, tmp_path, capsys,
         assert f"{bad}: not a checkpoint archive" in err
 
 
+def test_evaluate_checkpoint_missing_a_weight_array_is_data_error(
+        trained_run, tmp_path, capsys):
+    cfgp, run_dir = trained_run
+    with np.load(run_dir / "checkpoints" / "checkpoint_final.npz") as data:
+        arrays = {k: data[k] for k in data.files if k != "w2"}
+    bad = tmp_path / "no_w2.npz"
+    np.savez(bad, **arrays)
+    assert run(["evaluate", "--config", cfgp, "--checkpoint", bad,
+                "--m-test", 10, "--out", tmp_path / "eval"]) == 3
+    assert f"{bad}: unreadable checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
 # ---------------------------------------------------------------- demo-path
 
 
@@ -471,6 +498,29 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfgp = write_config(tmp_path / "esg.ini", "[esg]\nfoo = 1\n")
     assert run(["train", "--config", cfgp, "--out", tmp_path]) == 2
     assert "unknown key 'foo' in section [esg]" in capsys.readouterr().err
+
+
+# Trained with horizon 8 from age 67; from age 105 the horizon runs past
+# the bundled table's terminal age 109.
+LATE_RETIREMENT = TINY_TRAIN + "retirement_age = 105\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("train", TINY_TRAIN + "gender = Male\n", "gender must be one of"),
+    ("train", LATE_RETIREMENT, "does not fit the life table"),
+    ("evaluate", LATE_RETIREMENT, "does not fit the life table"),
+    ("demo-path", LATE_RETIREMENT, "does not fit the life table"),
+])
+def test_config_mistake_exits_2_before_any_output(trained_run, tmp_path,
+                                                  capsys, command, text,
+                                                  message):
+    cfgp = write_config(tmp_path / "cfg.ini", text)
+    argv = [command, "--config", cfgp, "--out", tmp_path / "out"]
+    if command != "train":
+        argv += ["--checkpoint", trained_run[1] / "checkpoints"]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_value_rejected(tmp_path, capsys):

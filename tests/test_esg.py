@@ -1,12 +1,13 @@
 import csv
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from conftest import history_from_factors, history_from_panel
 from oracles import esg_year_oracle, path_shocks_oracle, stationary_state
-from superdraw import esg
+from superdraw import _csvblock, esg
 from superdraw.errors import ConfigError, DataError, NumericError
 from superdraw.esg import DEFAULT_PARAMS, EconState, EsgParams
 
@@ -414,8 +415,32 @@ def _panel_csv_oracle(panel, path):
                                      for c in _PANEL_COLS])
 
 
-@pytest.mark.parametrize("M, T", [(1, 2), (1, 41), (250, 2), (17, 41)])
-def test_panel_csv_matches_csv_writer_bytes(tmp_path, M, T):
+def _count_forks(monkeypatch) -> list:
+    """Record each `os.fork` call in the returned list."""
+    forks = []
+    if hasattr(os, "fork"):
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _assert_no_helper_left(directory, names):
+    """No child process is left running and `directory` holds `names`."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(p.name for p in directory.iterdir()) == sorted(names)
+
+
+# With two usable CPUs a helper formats paths [M // 2, M): M = 2 splits
+# one and one, odd M unevenly, and at T = 41 (8 paths per block) the halves
+# of 17 (8 + 9) and 250 (125 + 125) paths are not whole blocks. One CPU,
+# and M < 2, take the one-process branch.
+@pytest.mark.parametrize("M, T, cpus", [
+    pytest.param(M, T, cpus, id=f"{M}-{T}" + ("" if cpus == 2 else "-1cpu"))
+    for cpus in (2, 1)
+    for M, T in [(1, 2), (1, 41), (2, 41), (250, 2), (17, 41), (250, 41)]])
+def test_panel_csv_matches_csv_writer_bytes(tmp_path, monkeypatch, M, T,
+                                            cpus):
     # Values whose %.10g text is easy to get wrong: signed zero, exponent
     # forms on both sides, integral floats and more than ten digits.
     crafted = np.array([-0.0, 1e-05, 1.5e+17, 1.0, 123456789012.0, -2.5,
@@ -432,6 +457,36 @@ def test_panel_csv_matches_csv_writer_bytes(tmp_path, M, T):
     cols["Q"][:, 0] = 1.0
     panel = esg.ScenarioPanel(M=M, T=T, **cols)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    monkeypatch.setattr(_csvblock, "_usable_cpus", lambda: cpus)
+    forks = _count_forks(monkeypatch)
     esg.panel_to_csv(panel, got)
+    assert len(forks) == (cpus == 2 and M >= 2 and hasattr(os, "fork"))
     _panel_csv_oracle(panel, want)
     assert got.read_bytes() == want.read_bytes()
+    _assert_no_helper_left(tmp_path, ["got.csv", "want.csv"])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper needs fork")
+@pytest.mark.parametrize("side", ["helper", "parent"])
+def test_panel_csv_failure_on_either_side_leaves_nothing(tmp_path,
+                                                         monkeypatch, side):
+    # A write that fails in the helper reaches the caller as OSError; one
+    # that fails in this process kills the helper. Either way the helper is
+    # reaped and neither the temporary file nor a partial panel remains.
+    monkeypatch.setattr(_csvblock, "_usable_cpus", lambda: 2)
+    parent, write_rows = os.getpid(), _csvblock._write_rows
+
+    def failing(fh, sections):
+        if (os.getpid() == parent) == (side == "parent"):
+            raise OSError(28, "No space left on device")
+        write_rows(fh, sections)
+
+    monkeypatch.setattr(_csvblock, "_write_rows", failing)
+    forks = _count_forks(monkeypatch)
+    panel = esg.simulate(DEFAULT_PARAMS, stationary_state(DEFAULT_PARAMS),
+                         M=40, T=5, seed=1)
+    with pytest.raises(OSError, match="helper process" if side == "helper"
+                       else "No space left"):
+        esg.panel_to_csv(panel, tmp_path / "panel.csv")
+    assert len(forks) == 1
+    _assert_no_helper_left(tmp_path, [])
