@@ -198,7 +198,7 @@ seed = 2
     assert (out / "checkpoints" / "checkpoint_final.npz").exists()
     report = (out / "report.csv").read_text().strip().splitlines()
     assert report == ["iter,objective,wallclock_ms,forward_ms,backward_ms,"
-                      "adam_ms"]
+                      "adam_ms,step_size,depleted"]
 
 
 def test_train_smoke_reproducible(tmp_path, capsys):
@@ -247,6 +247,41 @@ checkpoint_every = 1
     rep = list(csv.DictReader(open(out / "report.csv")))
     assert [r["iter"] for r in rep] == ["1", "2", "3"]
     assert all(np.isfinite(float(r["objective"])) for r in rep)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_train_nonfinite_wealth_from_esg_coefficients(tmp_path, capsys):
+    # A bond-return intercept of 800 makes the portfolio return about 210
+    # a year, so wealth passes float range in year 3. (Under seed 5's
+    # initial weights the policy spends the balances before they overflow.)
+    from superdraw.policy import load_checkpoint
+    cfgp = write_config(tmp_path / "cfg.ini", TINY_TRAIN + "[esg]\n"
+                        "psi_b0 = 800\n")
+    out = tmp_path / "run"
+    assert run(["train", "--config", cfgp, "--seed", 1, "--out", out]) == 4
+    assert "non-finite wealth after year t=3 at iteration 1" in \
+        capsys.readouterr().err
+    meta = load_checkpoint(out / "checkpoints" / "checkpoint_abort.npz")[2]
+    assert meta["iteration"] == 0
+    assert (out / "report.csv").read_text().splitlines() == [
+        "iter,objective,wallclock_ms,forward_ms,backward_ms,adam_ms,"
+        "step_size,depleted"]
+
+
+@pytest.mark.parametrize("rho, code", [(21, 2), (20, 2), (5, 0)])
+def test_train_rejects_a_non_finite_utility_floor(tmp_path, capsys, rho,
+                                                  code):
+    # At the default wealth unit (w0 = 500,000), u at the floor is -inf at
+    # rho = 21, and its slope is inf times 0 from rho ~ 19.6 on.
+    cfgp = write_config(tmp_path / "cfg.ini",
+                        TINY_TRAIN + f"[utility]\nrho = {rho}\n")
+    out = tmp_path / "run"
+    assert run(["train", "--config", cfgp, "--out", out]) == code
+    if code == 2:
+        assert "at floor_epsilon" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert (out / "checkpoints" / "checkpoint_final.npz").exists()
 
 
 def test_train_short_life_table_row_is_data_error(tmp_path, capsys):

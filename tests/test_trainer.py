@@ -15,13 +15,14 @@ import pytest
 
 from conftest import map_params, perturb
 from oracles import lifetime_utility_oracle, straight_line_objective
-from superdraw.account import AccountParams
+from superdraw.account import AccountParams, PensionParams
 from superdraw.errors import ConfigError, NumericError
 from superdraw.mortality import load_life_table, survival_curve
 from superdraw.policy import PARAM_FIELDS, backward, he_init, load_checkpoint
 from superdraw.trainer import (AdamState, PathRecords, TrainConfig,
-                               adam_step, batch_objective, network_consumer,
-                               rollout, rollout_consume, train)
+                               adam_step, adam_step_size, batch_objective,
+                               network_consumer, rollout, rollout_consume,
+                               train)
 from superdraw.esg import ScenarioPanel
 from superdraw.utility import UtilityParams
 
@@ -98,7 +99,7 @@ def test_tensor_mode_equals_numpy_mode():
     curve = cfg.curve()
     panel = synthetic_panel(6, cfg.horizon, seed=5)
     params = he_init(seed=2)
-    obj, _ = batch_objective(params, panel.R, panel.Q, curve, cfg)
+    obj, _, _ = batch_objective(params, panel.R, panel.Q, curve, cfg)
     total, _ = rollout_consume(network_consumer(params, cfg.norm()),
                                panel, curve, cfg)
     assert float(obj.value) == pytest.approx(total.mean(), rel=1e-13)
@@ -109,7 +110,7 @@ def test_rollout_mean_equals_batch_objective():
     curve = cfg.curve()
     panel = synthetic_panel(5, cfg.horizon, seed=9)
     params = he_init(seed=4)
-    obj, _ = batch_objective(params, panel.R, panel.Q, curve, cfg)
+    obj, _, _ = batch_objective(params, panel.R, panel.Q, curve, cfg)
     singles = [rollout(params, panel, m, cfg, curve=curve)[0]
                for m in range(panel.M)]
     assert float(obj.value) == pytest.approx(np.mean(singles), rel=1e-12)
@@ -263,6 +264,41 @@ def test_adam_three_steps_match_reference():
         assert np.allclose(getattr(params, n), ref_p[n], atol=1e-14)
 
 
+def test_adam_step_schedule():
+    # Up from the configured step to four times it at iteration 10, then
+    # linearly down to the configured step at iteration 800 and constant.
+    for k, factor in [(1, 1.3), (5, 2.5), (10, 4.0), (800, 1.0), (801, 1.0),
+                      (2_500, 1.0)]:
+        assert adam_step_size(5e-4, k) == pytest.approx(5e-4 * factor,
+                                                        rel=1e-15)
+    steps = [adam_step_size(1e-3, k) for k in range(1, 802)]
+    assert all(a < b for a, b in zip(steps[:9], steps[1:10]))
+    assert all(a > b for a, b in zip(steps[9:799], steps[10:800]))
+    assert steps[799] == steps[800] == 1e-3
+
+
+def test_training_logs_its_steps_and_depleted_paths():
+    cfg = small_config(iterations=3)
+    _, report = train(cfg)
+    assert [row[6] for row in report.rows] == [
+        adam_step_size(cfg.learning_rate, k) for k in (1, 2, 3)]
+    assert all(row[7] == 0 for row in report.rows)
+
+
+def test_batch_objective_counts_paths_at_the_depletion_floor():
+    # With a $1 pension, a crash in year 3 leaves paths 1-3 less than the
+    # admin fee, so their balance is clamped at 0 in year 3. Path 0 crashes
+    # in the last year instead, after its last transition.
+    cfg = small_config(horizon=5, pension=PensionParams(a_max=1.0))
+    panel = synthetic_panel(4, cfg.horizon, seed=2)
+    panel.R[1:, 3] = -50.0
+    panel.R[0, 5] = -50.0
+    obj, _, depleted = batch_objective(he_init(seed=3), panel.R, panel.Q,
+                                       cfg.curve(), cfg)
+    assert depleted == 3
+    assert float(obj.value) < -1e50      # the floor swamps the mean
+
+
 # ------------------------------------------------------------------ training
 
 
@@ -294,7 +330,7 @@ def test_training_moves_parameters_and_logs():
     # Forward, backward and Adam milliseconds per logging interval fit
     # inside the wallclock between rows.
     last = 0.0
-    for _, _, ms, *phases in report.rows:
+    for _, _, ms, *phases, _, _ in report.rows:
         assert len(phases) == 3 and min(phases) >= 0.0
         assert sum(phases) <= ms - last + 1e-6
         last = ms
@@ -404,8 +440,8 @@ def test_tape_stays_coarse():
     # simulated years live in the sweep, not in a graph.
     cfg = small_config(horizon=41, m_train=8, batch_size=8)
     panel = synthetic_panel(8, 41, seed=3)
-    obj, _ = batch_objective(he_init(seed=1), panel.R, panel.Q,
-                             cfg.curve(), cfg)
+    obj, _, _ = batch_objective(he_init(seed=1), panel.R, panel.Q,
+                                cfg.curve(), cfg)
     assert _tape_nodes(obj) == len(PARAM_FIELDS) + 1
 
 
@@ -414,6 +450,18 @@ def test_effective_utility_rescales_default_unit():
     assert cfg.effective_utility().wealth_unit == cfg.w0
     explicit = small_config(utility=UtilityParams(wealth_unit=123.0))
     assert explicit.effective_utility().wealth_unit == 123.0
+
+
+@pytest.mark.parametrize("rho, ok", [(5.0, True), (19.0, True),
+                                     (20.0, False), (21.0, False)])
+def test_utility_at_the_floor_must_be_finite(rho, ok):
+    # At the desk unit of 500,000 the floor's u' is inf from rho ~ 19.6 on.
+    utility = UtilityParams(rho=rho)
+    if ok:
+        small_config(utility=utility)
+    else:
+        with pytest.raises(ConfigError, match="at floor_epsilon"):
+            small_config(utility=utility)
 
 
 def test_config_validation():
