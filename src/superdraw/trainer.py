@@ -15,9 +15,8 @@ including the pension's piecewise branches and the depletion clamp.
 Training itself is minibatch gradient ascent with Adam: each iteration
 draws a batch of scenario paths, evaluates the mortality-weighted utility
 objective, runs the sweep, and applies the bias-corrected update to the
-negated gradient. The step rises to four times the configured learning
-rate over the first 10 iterations and decays linearly back to it by
-iteration 800.
+negated gradient. The step starts at 3.25 times the configured learning
+rate and decays linearly back to it by iteration 800.
 """
 
 from __future__ import annotations
@@ -220,7 +219,8 @@ def _rollout_engine(consume, R: np.ndarray, Q: np.ndarray,
     scenario panel, the only columns the loop reads. Returns (per-path
     lifetime utilities, PathRecords or None). With `kept` a list, each year
     appends the slopes `_sweep` reads: (1/Q, dA/dW, u'(C/Q), v'(W/Q) or
-    None, dW'/d(W + A - C - fee) or None).
+    None, dW'/d(W + A - C - fee) or None), then the mask of paths whose
+    next balance W' is 0 (None in the last year).
     """
     B, T = R.shape[0], R.shape[1] - 1
     if curve.horizon != T:
@@ -251,15 +251,17 @@ def _rollout_engine(consume, R: np.ndarray, Q: np.ndarray,
             rec.consumption[:, t] = C * inv_q
             rec.wealth[:, t] = W * inv_q
             rec.pension[:, t] = A * inv_q
-        d_next = None
+        d_next = empty = None
         if t < T:
             fee = fees(W, Qt, cfg.account)
             W, d_next = _with_slope(transition_balance(
                 W, A, C, fee, R[:, t + 1], slope=keep), keep)
             if not np.all(np.isfinite(W)):
                 raise NumericError(f"non-finite wealth after year t={t}")
+            if keep:
+                empty = W == 0.0
         if keep:
-            kept.append((inv_q, dA, du, dv, d_next))
+            kept.append((inv_q, dA, du, dv, d_next, empty))
     return total, rec
 
 
@@ -286,7 +288,7 @@ def _sweep(params: MlpParams, net: list, years: list, seed: float,
     scale = 1.0 / cfg.norm().wealth_scale
     lam = 0.0                      # lambda_{t+1}; 0 after the last year
     for t in range(len(years) - 1, -1, -1):
-        inv_q, dA, du, dv, d_next = years[t]
+        inv_q, dA, du, dv, d_next, _ = years[t]
         resources, frac, layers = net[t]
         last = d_next is None
         b = 0.0 if last else lam * d_next
@@ -313,8 +315,9 @@ def batch_objective(params: MlpParams, R: np.ndarray, Q: np.ndarray,
                     curve: SurvivalCurve, cfg: TrainConfig):
     """(objective, leaves, depleted): the mean per-path objective over the
     rows of the panel columns R and Q, as a root node whose `backward` runs
-    `_sweep` into the eight weight leaves, and how many of those paths hit
-    the depletion floor, where the balance's slope is 0."""
+    `_sweep` into the eight weight leaves, and how many of those paths end
+    some year with a balance of 0: the depletion floor, where the objective
+    takes u or v at `floor_epsilon`."""
     net, years = [], []
     total, _ = _rollout_engine(network_consumer(params, cfg.norm(), net), R,
                                Q, curve, cfg, kept=years)
@@ -322,8 +325,8 @@ def batch_objective(params: MlpParams, R: np.ndarray, Q: np.ndarray,
     obj = Tensor(total.mean(), list(p.values()), lambda: _sweep(
         params, net, years, 1.0 / len(total), curve, cfg))
     hit = np.zeros(len(total), dtype=bool)
-    for *_, d_next in years[:-1]:
-        hit |= d_next == 0.0
+    for *_, empty in years[:-1]:
+        hit |= empty
     return obj, p, int(hit.sum())
 
 
@@ -343,37 +346,37 @@ def rollout(params: MlpParams, panel: ScenarioPanel, m: int,
 
 # Adam's moment decay rates and the denominator's epsilon.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# The step schedule: the step rises linearly from the learning rate to
-# ADAM_WARM_FACTOR times it over the first ADAM_WARMUP iterations, falls
-# linearly back to the learning rate at ADAM_WARM_ITERATIONS and stays
-# there. Starting at the full factor strands the W0 = $1M desk policy at a
-# first-year consumption of $193k (by iteration 100, for good), against
-# $65k under a constant step.
-ADAM_WARM_FACTOR, ADAM_WARMUP, ADAM_WARM_ITERATIONS = 4.0, 10, 800
+# The step schedule: the step starts at ADAM_START_FACTOR times the
+# learning rate, falls linearly to the learning rate at ADAM_DECAY_ITERATIONS
+# and stays there. Both are fixed, not [train] keys: a schedule is judged
+# over several training seeds and the six acceptance variants together
+# (see README), and nearby settings fail there.
+ADAM_START_FACTOR, ADAM_DECAY_ITERATIONS = 3.25, 800
 
 
 def adam_step_size(learning_rate: float, k: int) -> float:
-    """The Adam step of iteration k >= 1: 1.3 x `learning_rate` at k = 1,
-    4 x at k = 10, and `learning_rate` from k = 800 on."""
-    extra = ADAM_WARM_FACTOR - 1.0
-    if k < ADAM_WARMUP:
-        return learning_rate * (1.0 + extra * k / ADAM_WARMUP)
-    decay = max(0.0, (ADAM_WARM_ITERATIONS - k)
-                / (ADAM_WARM_ITERATIONS - ADAM_WARMUP))
-    return learning_rate * (1.0 + extra * decay)
+    """The Adam step of iteration k >= 1: `learning_rate` times
+    3.25 - 2.25 k / 800 up to k = 800, and `learning_rate` from then on."""
+    return learning_rate * (1.0 + (ADAM_START_FACTOR - 1.0)
+                            * max(0.0, 1.0 - k / ADAM_DECAY_ITERATIONS))
 
 
 @dataclass
 class AdamState:
+    """Adam's moments after k updates and the step of the next update;
+    `train` sets `alpha` from `adam_step_size` before every update."""
+
     m: dict
     v: dict
+    alpha: float
     k: int = 0
-    alpha: float = 5e-4
 
     @classmethod
-    def fresh(cls, params: MlpParams) -> "AdamState":
+    def fresh(cls, params: MlpParams,
+              alpha: float = TrainConfig.learning_rate) -> "AdamState":
         zeros = {n: np.zeros_like(getattr(params, n)) for n in PARAM_FIELDS}
-        return cls(m=zeros, v={n: z.copy() for n, z in zeros.items()})
+        return cls(m=zeros, v={n: z.copy() for n, z in zeros.items()},
+                   alpha=alpha)
 
 
 def adam_step(state: AdamState, params: MlpParams,
@@ -423,7 +426,7 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
     if panel.M != cfg.m_train or panel.T != cfg.horizon:
         raise ConfigError("supplied panel does not match the config")
     params = he_init(seed=cfg.seed + 1)
-    adam = AdamState.fresh(params)
+    adam = AdamState.fresh(params, cfg.learning_rate)
     batch_rng = np.random.default_rng(cfg.seed + 2)
     report = TrainReport()
 

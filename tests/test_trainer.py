@@ -265,15 +265,14 @@ def test_adam_three_steps_match_reference():
 
 
 def test_adam_step_schedule():
-    # Up from the configured step to four times it at iteration 10, then
-    # linearly down to the configured step at iteration 800 and constant.
-    for k, factor in [(1, 1.3), (5, 2.5), (10, 4.0), (800, 1.0), (801, 1.0),
-                      (2_500, 1.0)]:
+    # 3.25 times the configured step at iteration 0, linearly down to the
+    # configured step at iteration 800 and constant from there.
+    for k, factor in [(1, 3.2471875), (400, 2.125), (799, 1.0028125),
+                      (800, 1.0), (801, 1.0), (2_500, 1.0)]:
         assert adam_step_size(5e-4, k) == pytest.approx(5e-4 * factor,
                                                         rel=1e-15)
     steps = [adam_step_size(1e-3, k) for k in range(1, 802)]
-    assert all(a < b for a, b in zip(steps[:9], steps[1:10]))
-    assert all(a > b for a, b in zip(steps[9:799], steps[10:800]))
+    assert all(a > b for a, b in zip(steps[:799], steps[1:800]))
     assert steps[799] == steps[800] == 1e-3
 
 

@@ -2,30 +2,29 @@
 
     python3 tools/seed_sweep.py --seeds 5 --iterations 800
 
-For each training seed 1..N this runs `superdraw train` on the paper's desk
-configuration (5,000 training paths, batch 512, horizon 41, male, W0
-$500,000, rho 5, phi 0.5) with a checkpoint every `--every` iterations,
-then `superdraw evaluate` of the checkpoint directory on the held-out
-panel (seed 777, 10,000 paths by default). Both run in this process
-through `superdraw.cli.main`. It prints one row per seed: the first
-checkpoint whose policy beats every baseline on at least 99% of the
-held-out paths ("-" if none does), then the minimum over the six
-baselines of the paths the policy beats, every `--print-every`
-iterations, and last the lowest such count at any checkpoint after the
-first one above half the held-out paths ("-" if none is): a collapse
-shows there.
+For each training seed 1..N this runs `superdraw train` on the benchmark's
+desk configuration (`bench/workloads.write_config` with the training seed
+replaced) with a checkpoint every 50 iterations, then `superdraw evaluate`
+of the checkpoint directory on 10,000 held-out paths (seed 777 unless
+`--test-seed` says otherwise). Both run in this process through
+`superdraw.cli.main`, in a temporary directory. It prints one row per
+seed: the first checkpoint whose policy beats every baseline on at least
+99% of the held-out paths (`bench/checks.target_iteration`; "-" if none
+does), then the minimum over the six baselines of the paths the policy
+beats, every 100 iterations, and last the lowest such count at any
+checkpoint after the first one above half the held-out paths ("-" if none
+is): a collapse shows there.
 
 `--src` names the source tree whose `superdraw` runs (default: this
 checkout's `src/`), so the same sweep scores another checkout, for
-example a parent commit. Runs are sequential; the work directory (a
-temporary one unless `--work` is given) holds each run's outputs.
+example a parent commit.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import contextlib
-import csv
 import io
 import math
 import sys
@@ -33,19 +32,23 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DESK = {"m_train": 5_000, "batch_size": 512, "horizon": 41,
-        "gender": "male", "w0": 500_000}
-TARGET_SHARE = 0.99
+sys.path.insert(0, str(ROOT / "bench"))
+
+import checks  # noqa: E402
+import workloads  # noqa: E402
+
+EVERY = 50            # checkpoint cadence
+PRINT_EVERY = 100     # iterations between printed win counts
 
 
-def write_config(path: Path, seed: int, args) -> Path:
-    train = {**DESK, "seed": seed, "iterations": args.iterations,
-             "log_every": args.every, "checkpoint_every": args.every}
-    if args.learning_rate is not None:
-        train["learning_rate"] = args.learning_rate
-    lines = ["[train]", *(f"{k} = {v}" for k, v in train.items()),
-             "[utility]", "rho = 5", "phi = 0.5"]
-    path.write_text("\n".join(lines) + "\n")
+def write_config(path: Path, seed: int, iterations: int) -> Path:
+    """The benchmark's desk config, trained on `seed`."""
+    workloads.write_config(path, iterations, EVERY)
+    cp = configparser.ConfigParser()
+    cp.read(path)
+    cp["train"]["seed"] = str(seed)
+    with open(path, "w") as fh:
+        cp.write(fh)
     return path
 
 
@@ -58,24 +61,16 @@ def run_cli(main, argv) -> None:
         sys.exit(f"exit {code}: superdraw {' '.join(map(str, argv))}")
 
 
-def min_wins(outperformance_csv: Path) -> dict:
-    """{iteration: the fewest paths the policy beats over the baselines}."""
-    out = {}
-    with open(outperformance_csv, newline="") as fh:
-        for row in csv.DictReader(fh):
-            it, count = int(row["iter"]), int(row["count"])
-            out[it] = min(out.get(it, count), count)
-    return out
-
-
-def sweep_seed(main, seed: int, work: Path, args) -> dict:
-    config = write_config(work / f"seed{seed}.ini", seed, args)
+def sweep_seed(main, seed: int, work: Path, iterations: int,
+               test_seed: int) -> Path:
+    """Train and evaluate one seed; returns its outperformance.csv."""
+    config = write_config(work / f"seed{seed}.ini", seed, iterations)
     run = work / f"seed{seed}"
     run_cli(main, ["train", "--config", config, "--out", run])
     run_cli(main, ["evaluate", "--config", config, "--checkpoint",
-                   run / "checkpoints", "--m-test", args.m_test, "--seed",
-                   args.test_seed, "--out", run / "eval"])
-    return min_wins(run / "eval" / "outperformance.csv")
+                   run / "checkpoints", "--m-test", workloads.M_TEST,
+                   "--seed", test_seed, "--out", run / "eval"])
+    return run / "eval" / "outperformance.csv"
 
 
 def main(argv=None) -> int:
@@ -83,42 +78,32 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, default=5,
                     help="train on seeds 1..N (default 5)")
     ap.add_argument("--iterations", type=int, default=800)
-    ap.add_argument("--every", type=int, default=50,
-                    help="checkpoint cadence (default 50)")
-    ap.add_argument("--print-every", type=int, default=100,
-                    help="iterations between printed win counts")
-    ap.add_argument("--test-seed", type=int, default=777)
-    ap.add_argument("--m-test", type=int, default=10_000)
-    ap.add_argument("--learning-rate", type=float,
-                    help="[train] learning_rate (default: the program's)")
+    ap.add_argument("--test-seed", type=int, default=workloads.TEST_SEED)
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="source tree of the superdraw to run")
-    ap.add_argument("--work", type=Path,
-                    help="directory for the runs (default: a temporary one)")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(args.src.resolve()))
     from superdraw.cli import main as superdraw_main
 
-    need = math.ceil(TARGET_SHARE * args.m_test)
-    shown = list(range(args.print_every, args.iterations + 1,
-                       args.print_every))
+    m_test, share = workloads.M_TEST, workloads.TARGET_SHARE
+    shown = list(range(PRINT_EVERY, args.iterations + 1, PRINT_EVERY))
     print(f"superdraw from {args.src}; held-out seed {args.test_seed}, "
-          f"{args.m_test} paths; target {need} wins")
+          f"{m_test} paths; target {math.ceil(share * m_test)} wins")
     print("seed  99% at  min wins at " + " ".join(f"{it:>6d}" for it in shown)
           + "  after 50%", flush=True)
-    with contextlib.ExitStack() as stack:
-        work = args.work or Path(stack.enter_context(
-            tempfile.TemporaryDirectory(prefix="seed_sweep_")))
-        work.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix="seed_sweep_") as tmp:
         for seed in range(1, args.seeds + 1):
-            wins = sweep_seed(superdraw_main, seed, work, args)
-            its = sorted(wins)
-            first = next((it for it in its if wins[it] >= need), "-")
+            csv_path = sweep_seed(superdraw_main, seed, Path(tmp),
+                                  args.iterations, args.test_seed)
+            wins = {it: min(counts.values()) for it, counts in
+                    checks.read_outperformance(csv_path).items()}
+            first = checks.target_iteration(csv_path, m_test, share) or "-"
             cells = " ".join(f"{wins[it]:>6d}" if it in wins else f"{'-':>6}"
                              for it in shown)
+            its = sorted(wins)
             above = next((k for k, it in enumerate(its)
-                          if wins[it] > args.m_test // 2), None)
+                          if wins[it] > m_test // 2), None)
             low = "-" if above is None else min(wins[it]
                                                 for it in its[above:])
             print(f"{seed:>4}  {first:>6}  {'':12}{cells}  {low:>8}",
