@@ -219,8 +219,7 @@ def _rollout_engine(consume, R: np.ndarray, Q: np.ndarray,
     scenario panel, the only columns the loop reads. Returns (per-path
     lifetime utilities, PathRecords or None). With `kept` a list, each year
     appends the slopes `_sweep` reads: (1/Q, dA/dW, u'(C/Q), v'(W/Q) or
-    None, dW'/d(W + A - C - fee) or None), then the mask of paths whose
-    next balance W' is 0 (None in the last year).
+    None, dW'/d(W + A - C - fee) or None).
     """
     B, T = R.shape[0], R.shape[1] - 1
     if curve.horizon != T:
@@ -251,17 +250,15 @@ def _rollout_engine(consume, R: np.ndarray, Q: np.ndarray,
             rec.consumption[:, t] = C * inv_q
             rec.wealth[:, t] = W * inv_q
             rec.pension[:, t] = A * inv_q
-        d_next = empty = None
+        d_next = None
         if t < T:
             fee = fees(W, Qt, cfg.account)
             W, d_next = _with_slope(transition_balance(
                 W, A, C, fee, R[:, t + 1], slope=keep), keep)
             if not np.all(np.isfinite(W)):
                 raise NumericError(f"non-finite wealth after year t={t}")
-            if keep:
-                empty = W == 0.0
         if keep:
-            kept.append((inv_q, dA, du, dv, d_next, empty))
+            kept.append((inv_q, dA, du, dv, d_next))
     return total, rec
 
 
@@ -288,7 +285,7 @@ def _sweep(params: MlpParams, net: list, years: list, seed: float,
     scale = 1.0 / cfg.norm().wealth_scale
     lam = 0.0                      # lambda_{t+1}; 0 after the last year
     for t in range(len(years) - 1, -1, -1):
-        inv_q, dA, du, dv, d_next, _ = years[t]
+        inv_q, dA, du, dv, d_next = years[t]
         resources, frac, layers = net[t]
         last = d_next is None
         b = 0.0 if last else lam * d_next
@@ -315,9 +312,12 @@ def batch_objective(params: MlpParams, R: np.ndarray, Q: np.ndarray,
                     curve: SurvivalCurve, cfg: TrainConfig):
     """(objective, leaves, depleted): the mean per-path objective over the
     rows of the panel columns R and Q, as a root node whose `backward` runs
-    `_sweep` into the eight weight leaves, and how many of those paths end
-    some year with a balance of 0: the depletion floor, where the objective
-    takes u or v at `floor_epsilon`."""
+    `_sweep` into the eight weight leaves, and how many of those paths hit
+    the depletion floor in some year. The transition's slope is
+    (W + A - C - fee > 0) e^R, and e^R of a simulated return is positive (it
+    underflows only for R below about -745), so a zero slope is exactly the
+    clamp at 0. Reading the slopes the sweep keeps anyway adds no per-year
+    array to the step."""
     net, years = [], []
     total, _ = _rollout_engine(network_consumer(params, cfg.norm(), net), R,
                                Q, curve, cfg, kept=years)
@@ -325,8 +325,8 @@ def batch_objective(params: MlpParams, R: np.ndarray, Q: np.ndarray,
     obj = Tensor(total.mean(), list(p.values()), lambda: _sweep(
         params, net, years, 1.0 / len(total), curve, cfg))
     hit = np.zeros(len(total), dtype=bool)
-    for *_, empty in years[:-1]:
-        hit |= empty
+    for *_, d_next in years[:-1]:
+        hit |= d_next == 0.0
     return obj, p, int(hit.sum())
 
 
