@@ -28,8 +28,7 @@ from ._csvblock import write_csv
 from .baselines import StrategyKind
 from .errors import ConfigError, DataError, NumericError
 from .evaluator import (POLICY_LABEL, compare, evaluate_policy,
-                        median_paths, outperformance_curve,
-                        utility_diff_density, write_kde_csv,
+                        outperformance_curve, write_kde_csv,
                         write_medians_csv, write_outperformance_csv,
                         write_utilities_csv)
 from .policy import load_checkpoint
@@ -172,14 +171,15 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     cp = _read_ini(args.config) if args.config else None
     cfg = build_train_config(cp, seed_override=args.seed,
                              params_file=args.params)
     sim = _section(cp, "simulate")
     m = args.m if args.m is not None else sim.get("m", 1_000)
     T = args.t if args.t is not None else sim.get("t", cfg.horizon)
-    esg_mod.panel_to_csv(cfg.panel(m, cfg.seed, T), out / "panel.csv")
+    panel = cfg.panel(m, cfg.seed, T)       # checked before any write
+    out = _out_dir(args)
+    esg_mod.panel_to_csv(panel, out / "panel.csv")
     _echo_config(cfg, out, {"command": "simulate", "m": m, "t": T})
     print(f"wrote {out / 'panel.csv'}: {m} paths x {T + 1} years, "
           f"seed {cfg.seed}")
@@ -189,7 +189,7 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     cp = _read_ini(args.config) if args.config else None
     cfg = build_train_config(cp, seed_override=args.seed)
-    curve = cfg.curve()         # checked before anything is written
+    curve, panel = cfg.curve(), cfg.training_panel()  # checked before writes
     out = _out_dir(args)
     checkpoint_dir = out / "checkpoints"
     _echo_config(cfg, out, {"command": "train"})
@@ -198,7 +198,7 @@ def cmd_train(args) -> int:
         print(f"iter {it:6d}  objective {obj:.2f}", flush=True)
 
     try:
-        params, report = train(cfg, progress=progress,
+        params, report = train(cfg, panel, progress=progress,
                                checkpoint_dir=checkpoint_dir, curve=curve)
     except TrainingAborted as exc:
         exc.report.to_csv(out / "report.csv")
@@ -266,21 +266,15 @@ def cmd_evaluate(args) -> int:
     panel = cfg.panel(m_test, test_seed)
     out = _out_dir(args)
     strategies = list(StrategyKind)
-    report = compare(params, strategies, panel, cfg, curve=curve, record=True)
+    report = compare(params, strategies, panel, cfg, curve=curve)
     write_utilities_csv(report, out / "utilities.csv")
-    # The (paths, years) records are the largest arrays of the command;
-    # release them before the checkpoint rollouts allocate theirs.
-    for label in list(report.records):
-        mp = median_paths(report.records.pop(label), cfg.retirement_age)
+    for label, mp in report.medians.items():
         write_medians_csv(mp, out / f"medians_{label}.csv")
-
+    for label, dd in report.densities.items():
+        write_kde_csv(dd, out / f"kde_{label}.csv")
     rows = outperformance_curve(seq, strategies, panel, cfg, curve=curve,
                                 base_utilities=report.utilities, policy=params)
     write_outperformance_csv(rows, out / "outperformance.csv")
-
-    for kind in strategies:
-        dd = utility_diff_density(report.diffs[kind.value])
-        write_kde_csv(dd, out / f"kde_{kind.value}.csv")
     _echo_config(cfg, out, {"command": "evaluate", "m_test": m_test,
                             "test_seed": test_seed,
                             "checkpoint": args.checkpoint})
@@ -330,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "weighted utility.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_help):
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--seed", type=int, help="override the seed")
+        p.add_argument("--seed", type=int, help=seed_help)
         p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("calibrate", help="fit scenario-generator parameters")
@@ -341,25 +335,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("simulate", help="write a scenario panel CSV")
-    common(p)
+    common(p, "override [train] seed, the seed of the panel")
     p.add_argument("--params", help="[esg] params_file: a `calibrate` output")
     p.add_argument("--m", type=int, help="number of paths")
     p.add_argument("--t", type=int, help="horizon in years")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train the consumption policy")
-    common(p)
+    common(p, "override [train] seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="compare a checkpoint to baselines")
-    common(p)
+    common(p, "seed of the held-out panel (default: [evaluate] test_seed, "
+              "else [train] seed + 1000)")
     p.add_argument("--checkpoint", required=True,
                    help="checkpoint file or training checkpoint directory")
     p.add_argument("--m-test", type=int, help="held-out paths")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("demo-path", help="export one simulated retirement")
-    common(p)
+    common(p, "seed of the demo path (default: [train] seed + 2000)")
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_demo_path)
     return ap

@@ -9,7 +9,7 @@ consumption and wealth paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +50,8 @@ KDE_BLOCK_ROWS = 16
 class EvalReport:
     utilities: dict          # label -> (M,) realized utilities
     outperformance: dict     # strategy label -> count of strict wins
-    diffs: dict              # strategy label -> U_policy - U_strategy
-    records: dict = field(default_factory=dict)  # label -> PathRecords
+    medians: dict            # label -> MedianPaths
+    densities: dict          # strategy label -> DiffDensity of U_pol - U_s
 
     @property
     def m_test(self) -> int:
@@ -86,25 +86,27 @@ def evaluate_policy(params: MlpParams, panel: ScenarioPanel,
 
 
 def compare(params: MlpParams, strategies, panel: ScenarioPanel,
-            cfg: TrainConfig, curve: SurvivalCurve,
-            record: bool = False) -> EvalReport:
-    """Evaluate the policy and each strategy on the same panel."""
-    if curve.horizon != panel.T:
-        raise ConfigError("panel horizon does not match survival curve")
-    utilities, outperf, diffs, records = {}, {}, {}, {}
-    u_pol, rec = evaluate_policy(params, panel, curve, cfg, record=record)
-    utilities[POLICY_LABEL] = u_pol
-    if record:
-        records[POLICY_LABEL] = rec
+            cfg: TrainConfig, curve: SurvivalCurve) -> EvalReport:
+    """Evaluate the policy and each strategy on the same panel. Each
+    rollout is reduced as it ends, to its medians and, for a strategy, its
+    win count and gap density; its per-year records are not kept."""
+    report = EvalReport(utilities={}, outperformance={}, medians={},
+                        densities={})
+
+    def reduce(label, rolled):
+        # `records` is freed on return, before the next rollout fills its own.
+        report.utilities[label], records = rolled
+        report.medians[label] = median_paths(records, cfg.retirement_age)
+        return rolled[0]
+
+    u_pol = reduce(POLICY_LABEL, evaluate_policy(params, panel, curve, cfg,
+                                                 record=True))
     for kind in strategies:
-        u_s, rec_s = rollout_strategy(kind, panel, curve, cfg, record=record)
-        utilities[kind.value] = u_s
-        diffs[kind.value] = u_pol - u_s
-        outperf[kind.value] = int(np.sum(u_pol > u_s))
-        if record:
-            records[kind.value] = rec_s
-    return EvalReport(utilities=utilities, outperformance=outperf,
-                      diffs=diffs, records=records)
+        u_s = reduce(kind.value, rollout_strategy(kind, panel, curve, cfg,
+                                                  record=True))
+        report.outperformance[kind.value] = int(np.sum(u_pol > u_s))
+        report.densities[kind.value] = utility_diff_density(u_pol - u_s)
+    return report
 
 
 def outperformance_curve(snapshots, strategies, panel: ScenarioPanel,

@@ -79,10 +79,12 @@ class TrainConfig:
     life_table: str | None = None           # None: bundled table
 
     def __post_init__(self):
-        if self.batch_size > self.m_train:
-            raise ConfigError("batch_size cannot exceed m_train")
-        if self.iterations < 0 or self.m_train < 1:
-            raise ConfigError("iterations must be >= 0, m_train >= 1")
+        if not 1 <= self.batch_size <= self.m_train:
+            raise ConfigError("batch_size must be >= 1 and <= m_train")
+        if self.iterations < 0 or self.seed < 0 or self.m_train < 1:
+            raise ConfigError("iterations and seed must be >= 0, m_train >= 1")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
         if self.w0 < 0 or self.horizon < 0:
             raise ConfigError("w0 and horizon must be non-negative")
         if self.log_every < 1 or self.checkpoint_every < 0:
@@ -95,7 +97,7 @@ class TrainConfig:
         # A path at the floor must still give a finite objective and slope;
         # past about rho = 19.6 at the desk unit, u' overflows to inf there.
         u = self.effective_utility()
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             at_floor = [block(u.floor_epsilon, u, slope=True)
                         for block in (consumption_utility, bequest_utility)]
         if not np.all(np.isfinite(at_floor)):
@@ -106,9 +108,9 @@ class TrainConfig:
     def effective_utility(self) -> UtilityParams:
         """Utility parameters actually used in objectives.
 
-        A wealth_unit left at the default 1.0 is replaced by the initial
-        wealth: identical optimum, and the objective lands at magnitudes
-        Adam can work with. An explicitly set unit is honored as-is.
+        A wealth_unit of 1.0, left at the default or set, is replaced by
+        the initial wealth unless w0 is 0: identical optimum, and the
+        objective lands at magnitudes Adam can work with.
         """
         if self.utility.wealth_unit != 1.0 or self.w0 == 0:
             return self.utility

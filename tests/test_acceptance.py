@@ -22,7 +22,7 @@ from oracles import (asset_test_cutoff_oracle, pension_oracle,
                      stationary_state)
 from superdraw import esg
 from superdraw.account import PensionParams, age_pension
-from superdraw.baselines import StrategyKind
+from superdraw.baselines import StrategyKind, rollout_strategy
 from superdraw.evaluator import compare, evaluate_policy, median_paths
 from superdraw.mortality import load_life_table, survival_curve
 from superdraw.policy import (PARAM_FIELDS, backward, he_init,
@@ -95,7 +95,7 @@ def w1m_policy(desk_train_panel):
 @pytest.fixture(scope="session")
 def base_eval(base_policy, held_out_panel):
     return compare(base_policy.params, list(StrategyKind), held_out_panel,
-                   base_policy.cfg, base_policy.cfg.curve(), record=True)
+                   base_policy.cfg, base_policy.cfg.curve())
 
 
 def _policy_records(policy: TrainedPolicy, panel):
@@ -289,8 +289,7 @@ def test_criterion_4_outperformance(request, base_policy, base_eval):
 
 def test_criterion_5_first_year_consumption(request, base_eval, rho2_policy,
                                             phi0_policy, held_out_panel):
-    c0_base = float(np.median(
-        base_eval.records["policy"].consumption[:, 0]))
+    c0_base = float(base_eval.medians["policy"].consumption[0])
     c0_rho2 = _first_year_consumption(rho2_policy, held_out_panel)
     c0_phi0 = _first_year_consumption(phi0_policy, held_out_panel)
 
@@ -323,14 +322,14 @@ def test_criterion_6_ordering_properties(request, base_eval, female_policy,
     got = sorted(means, key=means.get, reverse=True)
     ordering_ok = got == wanted
 
-    male_med = median_paths(base_eval.records["policy"], 67).consumption
+    male_med = base_eval.medians["policy"].consumption
     female_med = median_paths(
         _policy_records(female_policy, held_out_panel), 67).consumption
     # ages 67..84 inclusive -> t = 0..17
     gender_ok = bool(np.all(male_med[:18] >= female_med[:18] - 1e-9))
 
     c0_300 = _first_year_consumption(w300_policy, held_out_panel)
-    c0_500 = float(np.median(base_eval.records["policy"].consumption[:, 0]))
+    c0_500 = float(base_eval.medians["policy"].consumption[0])
     c0_1m = _first_year_consumption(w1m_policy, held_out_panel)
     sub_ok = (c0_500 / c0_300 < 500.0 / 300.0
               and c0_1m / c0_500 < 1_000.0 / 500.0
@@ -379,8 +378,16 @@ def _partition_ok() -> bool:
     return True
 
 
-def _constraints_ok(base_eval) -> bool:
-    for rec in base_eval.records.values():
+def _all_records(policy: TrainedPolicy, panel):
+    """The records of the policy's and then each strategy's rollout."""
+    yield _policy_records(policy, panel)
+    for kind in StrategyKind:
+        yield rollout_strategy(kind, panel, policy.cfg.curve(), policy.cfg,
+                               record=True)[1]
+
+
+def _constraints_ok(base_policy, panel) -> bool:
+    for rec in _all_records(base_policy, panel):
         avail = rec.wealth + rec.pension
         if not (np.all(rec.consumption >= 0.0)
                 and np.all(rec.consumption <= avail * (1 + 1e-12) + 1e-9)
@@ -434,11 +441,11 @@ def _command_determinism_ok(tmp) -> bool:
     return outputs["a"] == outputs["b"]
 
 
-def test_criterion_7_property_suites(request, base_policy, base_eval,
+def test_criterion_7_property_suites(request, base_policy, held_out_panel,
                                      tmp_path):
     stationary = _stationarity_ok()
     partition = _partition_ok()
-    constraints = _constraints_ok(base_eval)
+    constraints = _constraints_ok(base_policy, held_out_panel)
     roundtrip = _roundtrip_ok(base_policy, tmp_path)
     determinism = _command_determinism_ok(tmp_path)
     ok = stationary and partition and constraints and roundtrip and \

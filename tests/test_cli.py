@@ -284,6 +284,45 @@ def test_train_rejects_a_non_finite_utility_floor(tmp_path, capsys, rho,
         assert (out / "checkpoints" / "checkpoint_final.npz").exists()
 
 
+EDGE_TRAIN = {"m_train": 16, "iterations": 2, "batch_size": 8, "seed": 5,
+              "horizon": 4, "log_every": 1}
+# The only edge values a [train] run accepts; every other one exits 2.
+EDGE_ACCEPTED = {("iterations", "0"), ("seed", "0"), ("w0", "0"),
+                 ("checkpoint_every", "0")}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "-2", "nan", "inf"])
+@pytest.mark.parametrize("key", [
+    "m_train", "iterations", "batch_size", "seed", "horizon",
+    "retirement_age", "w0", "learning_rate", "log_every",
+    "checkpoint_every"])
+def test_train_edge_value_exits_0_or_2_before_any_output(tmp_path, key,
+                                                         value):
+    keys = {**EDGE_TRAIN, key: value}
+    cfgp = write_config(tmp_path / "cfg.ini", "[train]\n" + "".join(
+        f"{k} = {v}\n" for k, v in keys.items()))
+    out = tmp_path / "run"
+    code = run(["train", "--config", cfgp, "--out", out])
+    if (key, value) in EDGE_ACCEPTED:
+        assert code == 0
+        assert (out / "checkpoints" / "checkpoint_final.npz").exists()
+    else:
+        assert code == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", -1], "seed must be >= 0"),
+    (["--m", 0], "M and T must be at least 1"),
+    (["--t", 0], "M and T must be at least 1")])
+def test_simulate_mistake_exits_2_before_any_output(tmp_path, capsys, flags,
+                                                    message):
+    argv = ["simulate", "--m", 3, "--t", 2, *flags, "--out", tmp_path / "out"]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_short_life_table_row_is_data_error(tmp_path, capsys):
     from superdraw.mortality import bundled_life_table_path
     lines = bundled_life_table_path().read_text().splitlines()

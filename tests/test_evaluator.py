@@ -7,7 +7,8 @@ import pytest
 
 from oracles import kde_oracle
 from superdraw import evaluator
-from superdraw.baselines import StrategyKind, strategy_consumer
+from superdraw.baselines import (StrategyKind, rollout_strategy,
+                                 strategy_consumer)
 from superdraw.errors import ConfigError
 from superdraw.evaluator import (POLICY_LABEL, EvalReport, compare, kde,
                                  median_paths, outperformance_curve,
@@ -29,7 +30,8 @@ def test_self_comparison_is_exactly_zero(monkeypatch):
                         lambda params, norm: strategy_consumer(kind, cfg))
     report = compare(None, [kind], panel, cfg, cfg.curve())
     assert report.outperformance[kind.value] == 0
-    assert np.all(report.diffs[kind.value] == 0.0)
+    assert np.all(report.utilities[POLICY_LABEL]
+                  - report.utilities[kind.value] == 0.0)
     assert report.m_test == 20
 
 
@@ -37,16 +39,54 @@ def test_compare_counts_and_shapes():
     cfg = small_config(horizon=8)
     panel = synthetic_panel(30, cfg.horizon, seed=4)
     params = he_init(seed=1)
-    report = compare(params, list(StrategyKind), panel, cfg, cfg.curve(),
-                     record=True)
+    report = compare(params, list(StrategyKind), panel, cfg, cfg.curve())
     assert set(report.utilities) == {POLICY_LABEL} | \
         {k.value for k in StrategyKind}
+    assert set(report.medians) == set(report.utilities)
+    assert set(report.densities) == {k.value for k in StrategyKind}
     for k in StrategyKind:
+        diffs = report.utilities[POLICY_LABEL] - report.utilities[k.value]
         assert 0 <= report.outperformance[k.value] <= 30
-        assert report.diffs[k.value].shape == (30,)
-        want = np.sum(report.diffs[k.value] > 0)
+        assert diffs.shape == (30,)
+        want = np.sum(diffs > 0)
         assert report.outperformance[k.value] == want
-    assert report.records[POLICY_LABEL].wealth.shape == (30, 9)
+        assert 30 - report.densities[k.value].n_nonpositive == want
+    assert report.medians[POLICY_LABEL].wealth.shape == (9,)
+
+
+def test_compare_reduces_each_rollout_like_its_own_records():
+    # Each label's medians and gap density are those of its own recorded
+    # rollout, array for array.
+    cfg = small_config(horizon=8)
+    panel = synthetic_panel(50, cfg.horizon, seed=11)
+    params = he_init(seed=2)
+    curve = cfg.curve()
+    report = compare(params, list(StrategyKind), panel, cfg, curve)
+    u_pol, rec = evaluator.evaluate_policy(params, panel, curve, cfg,
+                                           record=True)
+    rolled = {POLICY_LABEL: (u_pol, rec)}
+    for k in StrategyKind:
+        rolled[k.value] = rollout_strategy(k, panel, curve, cfg, record=True)
+    assert list(report.medians) == list(rolled)
+    for label, (u, rec) in rolled.items():
+        assert np.array_equal(report.utilities[label], u)
+        want = median_paths(rec, cfg.retirement_age)
+        got = report.medians[label]
+        for name in ("age", "consumption", "wealth", "consumption_rate"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+        if label == POLICY_LABEL:
+            continue
+        want = utility_diff_density(u_pol - u)
+        got = report.densities[label]
+        assert np.array_equal(got.grid, want.grid)
+        assert np.array_equal(got.density, want.density)
+        assert (got.n_nonpositive, got.empty) == \
+            (want.n_nonpositive, want.empty)
+    # the panel is drawn so that some gaps are positive and some are not
+    dens = report.densities.values()
+    assert any(not d.empty for d in dens)
+    assert any(d.n_nonpositive for d in dens)
 
 
 def test_compare_rejects_horizon_mismatch():
@@ -207,8 +247,7 @@ def test_csv_exports_roundtrip(tmp_path):
     cfg = small_config(horizon=5)
     panel = synthetic_panel(8, cfg.horizon, seed=8)
     params = he_init(seed=5)
-    report = compare(params, [StrategyKind.MODEST], panel, cfg, cfg.curve(),
-                     record=True)
+    report = compare(params, [StrategyKind.MODEST], panel, cfg, cfg.curve())
 
     upath = tmp_path / "utilities.csv"
     write_utilities_csv(report, upath)
@@ -223,7 +262,8 @@ def test_csv_exports_roundtrip(tmp_path):
         rows = list(csv.reader(fh))
     assert rows == [["iter", "strategy", "count"], ["0", "modest", "3"]]
 
-    dd = utility_diff_density(np.abs(report.diffs["modest"]) + 1.0)
+    diffs = report.utilities[POLICY_LABEL] - report.utilities["modest"]
+    dd = utility_diff_density(np.abs(diffs) + 1.0)
     kpath = tmp_path / "kde_modest.csv"
     write_kde_csv(dd, kpath)
     with open(kpath) as fh:
@@ -231,7 +271,7 @@ def test_csv_exports_roundtrip(tmp_path):
     assert rows[0] == ["x", "density"]
     assert len(rows) == 1 + dd.grid.size
 
-    mp = median_paths(report.records["modest"], cfg.retirement_age)
+    mp = report.medians["modest"]
     mpath = tmp_path / "medians_base.csv"
     write_medians_csv(mp, mpath)
     with open(mpath) as fh:
@@ -261,7 +301,8 @@ def test_utilities_csv_matches_csv_writer_bytes(tmp_path, m):
         idx = rng.permutation(m)[:crafted.size]
         vals[idx] = crafted[:idx.size]
         utilities[label] = vals
-    report = EvalReport(utilities=utilities, outperformance={}, diffs={})
+    report = EvalReport(utilities=utilities, outperformance={}, medians={},
+                        densities={})
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_utilities_csv(report, got)
     _utilities_csv_oracle(report, want)
