@@ -26,7 +26,6 @@ __all__ = [
     "minimum_drawdown_rate",
     "rule_of_thumb_rate",
     "deterministic_consumption",
-    "strategy_consumer",
     "rollout_strategy",
 ]
 
@@ -98,19 +97,13 @@ def deterministic_consumption(kind: StrategyKind, age: float, W, A, Q,
     return np.clip(c, 0.0, available)
 
 
-def strategy_consumer(kind: StrategyKind, cfg: TrainConfig):
-    """Adapter to the rollout engine's consume(t, W, A, R, Q) protocol."""
+def rollout_strategy(kind: StrategyKind, panel: ScenarioPanel,
+                     curve: SurvivalCurve, cfg: TrainConfig,
+                     record: bool = False):
+    """All-paths rollout; returns (per-path utilities, records or None)."""
 
     def consume(t, W, A, R, Q):
         return deterministic_consumption(kind, cfg.retirement_age + t, W, A,
                                          Q, cfg.w0)
 
-    return consume
-
-
-def rollout_strategy(kind: StrategyKind, panel: ScenarioPanel,
-                     curve: SurvivalCurve, cfg: TrainConfig,
-                     record: bool = False):
-    """All-paths rollout; returns (per-path utilities, records or None)."""
-    return rollout_consume(strategy_consumer(kind, cfg), panel, curve, cfg,
-                           record=record)
+    return rollout_consume(consume, panel, curve, cfg, record=record)

@@ -44,7 +44,7 @@ _DEFAULT = TrainConfig()
 
 def _schema() -> dict:
     """{section: {key: type}}: TrainConfig's scalar fields are [train], each
-    parameter-class field is a section, and five keys are not fields."""
+    parameter-class field is a section, and three keys are not fields."""
     table = {"train": {}}
     for f in dataclasses.fields(TrainConfig):
         value = getattr(_DEFAULT, f.name)
@@ -55,7 +55,6 @@ def _schema() -> dict:
             table["train"][f.name] = str if value is None else type(value)
     table["esg"]["params_file"] = str
     table["evaluate"] = {"m_test": int, "test_seed": int}
-    table["simulate"] = {"m": int, "t": int}
     return table
 
 
@@ -85,7 +84,8 @@ def _read_ini(path) -> configparser.ConfigParser:
 
 
 def _section(cp, name: str) -> dict:
-    """Typed key-value view of one section; unknown keys are config errors."""
+    """Typed key-value view of one section; unknown keys and numbers that
+    are not finite are config errors."""
     if cp is None or not cp.has_section(name):
         return {}
     allowed, out = _KEYS[name], {}
@@ -97,6 +97,8 @@ def _section(cp, name: str) -> dict:
         except ValueError:
             raise ConfigError(
                 f"bad value for {name}.{key}: {raw!r}") from None
+        if allowed[key] is float and not np.isfinite(out[key]):
+            raise ConfigError(f"{name}.{key} must be finite, got {raw!r}")
     return out
 
 
@@ -110,7 +112,7 @@ def build_train_config(cp, seed_override: int | None = None,
     for name in _KEYS:
         base = getattr(_DEFAULT, name, None)
         if not dataclasses.is_dataclass(base):
-            continue            # [train], [evaluate], [simulate]
+            continue            # [train], [evaluate]
         changes = _section(cp, name)
         if name == "esg":
             in_file = changes.pop("params_file", None)
@@ -147,10 +149,10 @@ def _out_dir(args) -> Path:
 
 
 def cmd_calibrate(args) -> int:
-    out = _out_dir(args)
     history_path = args.history or esg_mod.bundled_history_path()
     history = esg_mod.load_history(history_path)
     params = esg_mod.calibrate(history)
+    out = _out_dir(args)
     esg_mod.save_params(params, out / "params.ini")
     corr, residuals = esg_mod.residual_diagnostics(history, params)
     write_csv(out / "residual_correlations.csv",
@@ -174,9 +176,8 @@ def cmd_simulate(args) -> int:
     cp = _read_ini(args.config) if args.config else None
     cfg = build_train_config(cp, seed_override=args.seed,
                              params_file=args.params)
-    sim = _section(cp, "simulate")
-    m = args.m if args.m is not None else sim.get("m", 1_000)
-    T = args.t if args.t is not None else sim.get("t", cfg.horizon)
+    m = 1_000 if args.m is None else args.m
+    T = cfg.horizon if args.t is None else args.t
     panel = cfg.panel(m, cfg.seed, T)       # checked before any write
     out = _out_dir(args)
     esg_mod.panel_to_csv(panel, out / "panel.csv")
@@ -337,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="write a scenario panel CSV")
     common(p, "override [train] seed, the seed of the panel")
     p.add_argument("--params", help="[esg] params_file: a `calibrate` output")
-    p.add_argument("--m", type=int, help="number of paths")
-    p.add_argument("--t", type=int, help="horizon in years")
+    p.add_argument("--m", type=int, help="number of paths (default: 1000)")
+    p.add_argument("--t", type=int,
+                   help="horizon in years (default: [train] horizon)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train the consumption policy")

@@ -310,15 +310,13 @@ def load_history(path) -> HistoricalSeries:
 def log_return_table(history: HistoricalSeries) -> dict:
     """Annual log-returns of the index columns, with s and S aligned.
 
-    Keys q,e,n,b,o,h are log(X_t / X_{t-1}) for the second year onward; s is
-    the short-rate level over the same years and S = s - q.
+    Keys q,e,n,b,o,h are log(X_t / X_{t-1}) for the second year onward;
+    S = s - q is the real short rate over the same years.
     """
     lr = lambda x: np.log(x[1:] / x[:-1])
     q = lr(history.cpi)
-    s = history.s[1:]
     return {
-        "year": history.year[1:],
-        "q": q, "s": s, "S": s - q,
+        "q": q, "S": history.s[1:] - q,
         "e": lr(history.E), "n": lr(history.N), "b": lr(history.B),
         "o": lr(history.O), "h": lr(history.HPI),
     }
@@ -419,9 +417,12 @@ def load_params(path) -> EsgParams:
                 raise DataError(f"{path}:{lineno}: expected 'name = value'")
             name, _, raw = line.partition("=")
             try:
-                values[name.strip()] = float(raw)
+                value = float(raw)
+                if not np.isfinite(value):
+                    raise ValueError
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad number {raw!r}") from None
+            values[name.strip()] = value
     want = {f.name for f in fields(EsgParams)}
     missing = want - values.keys()
     if missing:

@@ -65,8 +65,6 @@ class EvalReport:
 class DiffDensity:
     grid: np.ndarray        # log10 of positive utility differences
     density: np.ndarray
-    n_nonpositive: int
-    empty: bool
 
 
 @dataclass
@@ -177,19 +175,16 @@ def kde(samples: np.ndarray):
 def utility_diff_density(diffs: np.ndarray) -> DiffDensity:
     """KDE of log10 of the positive utility gaps.
 
-    Non-positive gaps cannot appear on a log axis; they are counted and
-    reported alongside. Fewer than two positive samples marks the density
-    empty.
+    Non-positive gaps cannot appear on a log axis and are left out; the
+    positive ones are the policy's wins. Fewer than two positive samples
+    give an empty grid and density.
     """
     diffs = np.asarray(diffs, dtype=float)
     positive = diffs[diffs > 0.0]
-    n_nonpos = int(len(diffs) - len(positive))
     if len(positive) < 2:
-        return DiffDensity(grid=np.empty(0), density=np.empty(0),
-                           n_nonpositive=n_nonpos, empty=True)
+        return DiffDensity(grid=np.empty(0), density=np.empty(0))
     grid, density = kde(np.log10(positive))
-    return DiffDensity(grid=grid, density=density, n_nonpositive=n_nonpos,
-                       empty=False)
+    return DiffDensity(grid=grid, density=density)
 
 
 # -------------------------------------------------------------------- medians

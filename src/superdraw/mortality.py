@@ -25,7 +25,6 @@ __all__ = [
     "SurvivalCurve",
     "bundled_life_table_path",
     "load_life_table",
-    "projected_qx",
     "survival_curve",
 ]
 
@@ -67,12 +66,6 @@ class LifeTable:
     def terminal_age(self) -> int:
         return int(self.age[-1])
 
-    def _index(self, age: int) -> int:
-        if not self.min_age <= age <= self.terminal_age:
-            raise DataError(f"age {age} outside table range "
-                            f"[{self.min_age}, {self.terminal_age}]")
-        return int(age) - self.min_age
-
 
 @dataclass(frozen=True)
 class SurvivalCurve:
@@ -92,12 +85,6 @@ class SurvivalCurve:
         return len(self.tpx) - 1
 
 
-def _check_gender(gender: str) -> str:
-    if gender not in _GENDERS:
-        raise DataError(f"gender must be one of {_GENDERS}, got {gender!r}")
-    return gender
-
-
 def load_life_table(path=None) -> LifeTable:
     """Read a CSV with header age,male_qx,female_qx,male_improvement,female_improvement."""
     arr = read_table(bundled_life_table_path() if path is None else path,
@@ -109,32 +96,28 @@ def load_life_table(path=None) -> LifeTable:
     )
 
 
-def projected_qx(table: LifeTable, gender: str, age: int,
-                 calendar_offset: int) -> float:
-    """Mortality rate at `age`, `calendar_offset` years after the start."""
-    _check_gender(gender)
-    if calendar_offset < 0:
-        raise DataError("calendar_offset must be >= 0")
-    i = table._index(age)
-    base = table.qx[gender][i]
-    if base >= 1.0:
-        return 1.0
-    rate = base * (1.0 + table.improvement[gender][i]) ** (
-        BASE_LAG + calendar_offset)
-    return float(min(max(rate, 0.0), 1.0))
-
-
 def survival_curve(table: LifeTable, gender: str, x: int, T: int) -> SurvivalCurve:
-    """Survival and deferred-death probabilities from age x over T years."""
-    _check_gender(gender)
-    if x + T > table.terminal_age + 1:
-        raise DataError(f"horizon {T} from age {x} overruns the table "
-                        f"(terminal age {table.terminal_age})")
+    """Survival and deferred-death probabilities from age x over T years.
+
+    Year t uses the projected rate at age x + t - 1, t - 1 years after the
+    start, clipped to [0, 1]; a base rate of 1 stays 1.
+    """
+    if gender not in _GENDERS:
+        raise DataError(f"gender must be one of {_GENDERS}, got {gender!r}")
+    if not table.min_age <= x <= table.terminal_age + 1 - T:
+        raise DataError(f"horizon {T} from age {x} does not fit the table's "
+                        f"ages {table.min_age}-{table.terminal_age}")
+    base, improvement = table.qx[gender], table.improvement[gender]
     tpx = np.empty(T + 1)
     dq = np.zeros(T + 1)
     tpx[0] = 1.0
     for t in range(1, T + 1):
-        q = projected_qx(table, gender, x + t - 1, t - 1)
+        i = x + t - 1 - table.min_age
+        if base[i] >= 1.0:
+            q = 1.0
+        else:
+            rate = base[i] * (1.0 + improvement[i]) ** (BASE_LAG + t - 1)
+            q = float(min(max(rate, 0.0), 1.0))
         dq[t] = tpx[t - 1] * q
         tpx[t] = tpx[t - 1] * (1.0 - q)
     return SurvivalCurve(tpx=tpx, dq=dq)

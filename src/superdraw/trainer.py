@@ -85,8 +85,10 @@ class TrainConfig:
             raise ConfigError("iterations and seed must be >= 0, m_train >= 1")
         if not 0.0 < self.learning_rate < np.inf:
             raise ConfigError("learning_rate must be finite and > 0")
-        if self.w0 < 0 or self.horizon < 0:
-            raise ConfigError("w0 and horizon must be non-negative")
+        if not 0.0 <= self.w0 < np.inf:
+            raise ConfigError("w0 must be finite and >= 0")
+        if self.horizon < 0:
+            raise ConfigError("horizon must be >= 0")
         if self.log_every < 1 or self.checkpoint_every < 0:
             raise ConfigError("log_every must be >= 1, checkpoint_every >= 0")
         if self.gender not in _GENDERS:
@@ -365,25 +367,21 @@ def adam_step_size(learning_rate: float, k: int) -> float:
 
 @dataclass
 class AdamState:
-    """Adam's moments after k updates and the step of the next update;
-    `train` sets `alpha` from `adam_step_size` before every update."""
+    """Adam's moments after k updates."""
 
     m: dict
     v: dict
-    alpha: float
     k: int = 0
 
     @classmethod
-    def fresh(cls, params: MlpParams,
-              alpha: float = TrainConfig.learning_rate) -> "AdamState":
+    def fresh(cls, params: MlpParams) -> "AdamState":
         zeros = {n: np.zeros_like(getattr(params, n)) for n in PARAM_FIELDS}
-        return cls(m=zeros, v={n: z.copy() for n, z in zeros.items()},
-                   alpha=alpha)
+        return cls(m=zeros, v={n: z.copy() for n, z in zeros.items()})
 
 
-def adam_step(state: AdamState, params: MlpParams,
-              grad: MlpParams) -> tuple[AdamState, MlpParams]:
-    """One bias-corrected update; descends along `grad`."""
+def adam_step(state: AdamState, params: MlpParams, grad: MlpParams,
+              alpha: float) -> tuple[AdamState, MlpParams]:
+    """One bias-corrected update of step `alpha`; descends along `grad`."""
     k = state.k + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_m, new_v, new_p = {}, {}, {}
@@ -395,9 +393,9 @@ def adam_step(state: AdamState, params: MlpParams,
         v_hat = v / (1.0 - b2 ** k)
         new_m[n] = m
         new_v[n] = v
-        new_p[n] = getattr(params, n) - state.alpha * m_hat / (
+        new_p[n] = getattr(params, n) - alpha * m_hat / (
             np.sqrt(v_hat) + ADAM_EPS)
-    next_state = AdamState(m=new_m, v=new_v, k=k, alpha=state.alpha)
+    next_state = AdamState(m=new_m, v=new_v, k=k)
     return next_state, MlpParams(**new_p)
 
 
@@ -428,7 +426,7 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
     if panel.M != cfg.m_train or panel.T != cfg.horizon:
         raise ConfigError("supplied panel does not match the config")
     params = he_init(seed=cfg.seed + 1)
-    adam = AdamState.fresh(params, cfg.learning_rate)
+    adam = AdamState.fresh(params)
     batch_rng = np.random.default_rng(cfg.seed + 2)
     report = TrainReport()
 
@@ -462,8 +460,8 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
             obj.backward()
             t2 = time.perf_counter()
             grads = MlpParams(**{n: -p[n].grad for n in PARAM_FIELDS})
-            adam.alpha = adam_step_size(cfg.learning_rate, it)
-            adam, params = adam_step(adam, params, grads)
+            alpha = adam_step_size(cfg.learning_rate, it)
+            adam, params = adam_step(adam, params, grads, alpha)
         except NumericError as exc:
             save("abort", it - 1)
             raise TrainingAborted(f"{exc} at iteration {it}", report) \
@@ -474,7 +472,7 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
         if it % cfg.log_every == 0 or it == cfg.iterations:
             ms = (time.perf_counter() - t_start) * 1e3
             report.rows.append((it, value, ms, *phase_ms.tolist(),
-                                adam.alpha, depleted))
+                                alpha, depleted))
             phase_ms[:] = 0.0
             if progress is not None:
                 progress(it, value)

@@ -7,10 +7,9 @@ from oracles import straight_line_objective
 from superdraw.baselines import (REAL_TARGETS, StrategyKind,
                                  deterministic_consumption,
                                  minimum_drawdown_rate, rollout_strategy,
-                                 rule_of_thumb_rate, strategy_consumer)
+                                 rule_of_thumb_rate)
 from superdraw.errors import ConfigError
 from superdraw.esg import ScenarioPanel
-from superdraw.trainer import rollout_consume
 
 from test_trainer import small_config, synthetic_panel
 
@@ -123,21 +122,6 @@ def test_rollout_matches_straight_line_oracle():
             assert total[0] == pytest.approx(want, rel=1e-12)
             assert rec.consumption[0].shape == (cfg.horizon + 1,)
             assert np.all(rec.wealth[0] >= 0.0)
-
-
-def test_injected_rule_reproduces_deterministic_rollout():
-    # The single-source-of-truth check: feeding the deterministic rule into
-    # the generic engine must agree bit for bit with rollout_strategy.
-    cfg = small_config(horizon=10)
-    curve = cfg.curve()
-    panel = synthetic_panel(5, cfg.horizon, seed=29)
-    kind = StrategyKind.RULE_OF_THUMB
-    direct, rec_a = rollout_strategy(kind, panel, curve, cfg, record=True)
-    injected, rec_b = rollout_consume(strategy_consumer(kind, cfg), panel,
-                                      curve, cfg, record=True)
-    assert np.array_equal(direct, injected)
-    assert np.array_equal(rec_a.consumption, rec_b.consumption)
-    assert np.array_equal(rec_a.wealth, rec_b.wealth)
 
 
 def test_minimum_wealth_strictly_decreasing_flat_world():

@@ -12,6 +12,7 @@ import pytest
 
 from superdraw.cli import main
 from superdraw.esg import DEFAULT_PARAMS, load_params
+from superdraw.trainer import TrainConfig
 
 
 def run(argv):
@@ -88,7 +89,8 @@ def test_calibrate_insufficient_rows(tmp_path, capsys):
 
 def test_calibrate_missing_file_is_io_error(tmp_path):
     assert run(["calibrate", "--history", tmp_path / "nope.csv",
-                "--out", tmp_path]) == 5
+                "--out", tmp_path / "out"]) == 5
+    assert not (tmp_path / "out").exists()
 
 
 def test_calibrate_nan_in_history_is_data_error(tmp_path, capsys):
@@ -309,6 +311,27 @@ def test_train_edge_value_exits_0_or_2_before_any_output(tmp_path, key,
     else:
         assert code == 2
         assert not out.exists()
+
+
+# Every key of the four parameter sections; all of them are numbers.
+PARAM_SECTION_KEYS = [(name, f.name) for name in ("utility", "pension",
+                                                  "account", "esg")
+                      for f in dataclasses.fields(getattr(TrainConfig(),
+                                                          name))]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", PARAM_SECTION_KEYS,
+                         ids=[f"{s}.{k}" for s, k in PARAM_SECTION_KEYS])
+def test_train_non_finite_section_value_exits_2_before_any_output(
+        tmp_path, capsys, section, key, value):
+    text = "[train]\n" + "".join(f"{k} = {v}\n" for k, v in EDGE_TRAIN.items())
+    cfgp = write_config(tmp_path / "cfg.ini",
+                        text + f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "run"
+    assert run(["train", "--config", cfgp, "--out", out]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -628,10 +651,12 @@ mu_q = 0.05
      TINY_TRAIN.replace("log_every = 10", "log_every = 0"), "log_every"),
     (["train", "--config"], TINY_TRAIN + "checkpoint_every = -1\n",
      "checkpoint_every"),
+    (["simulate", "--config"], "[simulate]\nm = 5\n",
+     "unknown section [simulate]"),
     (["calibrate", "--config"], TINY_TRAIN, "--config"),
     (["calibrate", "--seed", 3], None, "--seed"),
 ], ids=["misspelt_section", "log_every_0", "checkpoint_every_negative",
-        "calibrate_config", "calibrate_seed"])
+        "simulate_section", "calibrate_config", "calibrate_seed"])
 def test_input_that_would_be_ignored_is_rejected(tmp_path, capsys, argv,
                                                  text, message):
     if text is not None:
@@ -667,7 +692,6 @@ def test_param_sections_reach_config_and_echo_back(tmp_path, monkeypatch,
                                                    argv):
     from superdraw import cli
     from superdraw.mortality import bundled_life_table_path
-    from superdraw.trainer import TrainConfig
     table = tmp_path / "lt%1.csv"
     table.write_bytes(bundled_life_table_path().read_bytes())
     overrides = {**SECTION_OVERRIDES, "train": {

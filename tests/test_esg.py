@@ -387,6 +387,10 @@ def test_load_params_errors(tmp_path):
     path.write_text("mu_q 0.02\n")
     with pytest.raises(DataError, match="name = value"):
         esg.load_params(path)
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"# coefficients\nmu_q = {bad}\n")
+        with pytest.raises(DataError, match=f"p.txt:2: bad number ' {bad}'"):
+            esg.load_params(path)
 
 
 def test_panel_csv_export(tmp_path):

@@ -7,8 +7,8 @@ import pytest
 
 from oracles import kde_oracle
 from superdraw import evaluator
-from superdraw.baselines import (StrategyKind, rollout_strategy,
-                                 strategy_consumer)
+from superdraw.baselines import (StrategyKind, deterministic_consumption,
+                                 rollout_strategy)
 from superdraw.errors import ConfigError
 from superdraw.evaluator import (POLICY_LABEL, EvalReport, compare, kde,
                                  median_paths, outperformance_curve,
@@ -26,8 +26,10 @@ def test_self_comparison_is_exactly_zero(monkeypatch):
     panel = synthetic_panel(20, cfg.horizon, seed=2)
     kind = StrategyKind.RULE_OF_THUMB
     # The "policy" rolled out is the strategy itself.
-    monkeypatch.setattr(evaluator, "network_consumer",
-                        lambda params, norm: strategy_consumer(kind, cfg))
+    monkeypatch.setattr(
+        evaluator, "network_consumer",
+        lambda params, norm: lambda t, W, A, R, Q: deterministic_consumption(
+            kind, cfg.retirement_age + t, W, A, Q, cfg.w0))
     report = compare(None, [kind], panel, cfg, cfg.curve())
     assert report.outperformance[kind.value] == 0
     assert np.all(report.utilities[POLICY_LABEL]
@@ -50,7 +52,8 @@ def test_compare_counts_and_shapes():
         assert diffs.shape == (30,)
         want = np.sum(diffs > 0)
         assert report.outperformance[k.value] == want
-        assert 30 - report.densities[k.value].n_nonpositive == want
+        assert report.densities[k.value].grid.size == \
+            (256 if want >= 2 else 0)
     assert report.medians[POLICY_LABEL].wealth.shape == (9,)
 
 
@@ -81,12 +84,9 @@ def test_compare_reduces_each_rollout_like_its_own_records():
         got = report.densities[label]
         assert np.array_equal(got.grid, want.grid)
         assert np.array_equal(got.density, want.density)
-        assert (got.n_nonpositive, got.empty) == \
-            (want.n_nonpositive, want.empty)
     # the panel is drawn so that some gaps are positive and some are not
-    dens = report.densities.values()
-    assert any(not d.empty for d in dens)
-    assert any(d.n_nonpositive for d in dens)
+    assert any(d.grid.size for d in report.densities.values())
+    assert any(wins < 50 for wins in report.outperformance.values())
 
 
 def test_compare_rejects_horizon_mismatch():
@@ -203,8 +203,8 @@ def test_silverman_uses_smaller_spread():
 def test_utility_diff_density_splits_nonpositive():
     diffs = np.array([10.0, 100.0, 1_000.0, -5.0, 0.0, 2.0])
     dd = utility_diff_density(diffs)
-    assert not dd.empty
-    assert dd.n_nonpositive == 2
+    assert dd.grid.size == 256
+    assert np.array_equal(dd.grid, kde(np.log10(diffs[diffs > 0]))[0])
     # grid lives on the log10 axis of the positive part
     assert dd.grid.min() < np.log10(2.0) + 0.5
     assert dd.grid.max() > 3.0 - 0.5
@@ -212,9 +212,8 @@ def test_utility_diff_density_splits_nonpositive():
 
 def test_utility_diff_density_empty_flag():
     dd = utility_diff_density(np.array([-1.0, 0.0, -3.5]))
-    assert dd.empty
-    assert dd.n_nonpositive == 3
     assert dd.grid.size == 0
+    assert dd.density.size == 0
 
 
 # ------------------------------------------------------------------- medians

@@ -3,7 +3,7 @@ import pytest
 
 from superdraw.errors import DataError
 from superdraw.mortality import (BASE_LAG, LifeTable, load_life_table,
-                                 projected_qx, survival_curve)
+                                 survival_curve)
 
 
 def life_expectancy(table: LifeTable, gender: str, age: int) -> float:
@@ -18,7 +18,14 @@ def table():
     return load_life_table()
 
 
-def toy_table(q, improvement=0.0, lo=60, hi=70):
+def projected_rate(table, gender, age, offset):
+    """The rate a curve uses at `age`, `offset` years after its start:
+    dq[t] / tpx[t-1] of the curve from age - offset, at t = offset + 1."""
+    c = survival_curve(table, gender, age - offset, offset + 1)
+    return c.dq[-1] / c.tpx[-2]
+
+
+def toy_table(q, improvement=0.0, lo=50, hi=70):
     n = hi - lo + 1
     qs = np.full(n, q)
     qs[-1] = 1.0
@@ -38,12 +45,12 @@ def test_bundled_table_shape(table):
 
 def test_projected_qx_no_improvement():
     t = toy_table(0.02)
-    assert projected_qx(t, "male", 60, 5) == pytest.approx(0.02)
+    assert projected_rate(t, "male", 60, 5) == pytest.approx(0.02)
 
 
 def test_projected_qx_one_step_compounding():
     t = toy_table(0.02, improvement=-0.01)
-    assert projected_qx(t, "male", 60, 1) == pytest.approx(
+    assert projected_rate(t, "male", 60, 1) == pytest.approx(
         0.02 * 0.99 ** (BASE_LAG + 1))
 
 
@@ -52,22 +59,25 @@ def test_projected_qx_base_lag_counts_in_exponent(table):
     i = age - table.min_age
     base = table.qx["male"][i]
     imp = table.improvement["male"][i]
-    assert projected_qx(table, "male", age, 4) == pytest.approx(
+    assert projected_rate(table, "male", age, 4) == pytest.approx(
         base * (1 + imp) ** (3 + 4))
 
 
 def test_projected_qx_terminal_certain_death(table):
-    assert projected_qx(table, "female", table.terminal_age, 0) == 1.0
-    assert projected_qx(table, "female", table.terminal_age, 30) == 1.0
+    assert projected_rate(table, "female", table.terminal_age, 0) == 1.0
+    # Survival under the bundled table reaches 0 before its terminal age, so
+    # a toy table with improvement shows that a base rate of 1 stays 1.
+    t = toy_table(0.02, improvement=-0.01, lo=30)
+    assert projected_rate(t, "female", t.terminal_age, 30) == 1.0
 
 
 def test_projected_qx_range_and_gender_errors(table):
     with pytest.raises(DataError):
-        projected_qx(table, "male", 20, 0)
+        projected_rate(table, "male", 20, 0)
     with pytest.raises(DataError):
-        projected_qx(table, "other", 70, 0)
+        projected_rate(table, "other", 70, 0)
     with pytest.raises(DataError):
-        projected_qx(table, "male", 70, -1)
+        survival_curve(table, "male", table.min_age - 1, 0)
 
 
 def test_survival_curve_start(table):

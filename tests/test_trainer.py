@@ -222,7 +222,7 @@ def test_adam_first_step_closed_form():
     params = he_init(seed=0)
     state = AdamState.fresh(params)
     g = map_params(params, lambda a: np.full_like(a, 2.0))
-    state2, updated = adam_step(state, params, g)
+    state2, updated = adam_step(state, params, g, alpha=5e-4)
     # With constant gradient the bias-corrected ratio is g / (|g| + eps).
     step = 5e-4 * 2.0 / (2.0 + 1e-8)
     for n in PARAM_FIELDS:
@@ -235,7 +235,7 @@ def test_adam_zero_gradient_is_identity():
     params = he_init(seed=1)
     state = AdamState.fresh(params)
     zero = map_params(params, np.zeros_like)
-    _, updated = adam_step(state, params, zero)
+    _, updated = adam_step(state, params, zero, alpha=5e-4)
     for n in PARAM_FIELDS:
         assert np.array_equal(getattr(updated, n), getattr(params, n))
 
@@ -252,7 +252,7 @@ def test_adam_three_steps_match_reference():
     m = {n: np.zeros_like(ref_p[n]) for n in PARAM_FIELDS}
     v = {n: np.zeros_like(ref_p[n]) for n in PARAM_FIELDS}
     for k, g in enumerate(grads, start=1):
-        state, params = adam_step(state, params, g)
+        state, params = adam_step(state, params, g, alpha=5e-4)
         for n in PARAM_FIELDS:
             gn = getattr(g, n)
             m[n] = 0.9 * m[n] + 0.1 * gn
@@ -468,3 +468,6 @@ def test_config_validation():
         small_config(batch_size=64, m_train=32)
     with pytest.raises(ConfigError):
         small_config(iterations=-1)
+    for w0 in (np.nan, np.inf, -1.0):
+        with pytest.raises(ConfigError, match="w0 must be finite and >= 0"):
+            small_config(w0=w0)
