@@ -55,6 +55,8 @@ class PensionParams:
         if min(self.a_max, self.w_a, self.tau_a, self.income_free, self.w_i,
                self.r1, self.tau_i) < 0 or self.a_max == 0:
             raise ConfigError("pension rates must be non-negative, a_max > 0")
+        if self.fortnights_per_year < 1:
+            raise ConfigError("fortnights_per_year must be >= 1")
 
 
 @dataclass(frozen=True)

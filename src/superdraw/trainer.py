@@ -180,7 +180,12 @@ class TrainingAborted(NumericError):
 
 @dataclass
 class PathRecords:
-    """Real (deflated) per-year paths captured during numpy-mode rollouts."""
+    """Real (deflated) per-year paths captured during numpy-mode rollouts.
+
+    Each field is (paths, T+1). The engine's fields are transposed views of
+    year-major (T+1, paths) buffers, so each year's write is one contiguous
+    row; `.T` gives that buffer back.
+    """
 
     consumption: np.ndarray   # (paths, T+1)
     wealth: np.ndarray
@@ -220,27 +225,28 @@ def _rollout_engine(consume, R: np.ndarray, Q: np.ndarray,
     """Apply the yearly loop to all paths at once.
 
     `R` and `Q` are the (paths, T+1) return and deflator columns of a
-    scenario panel, the only columns the loop reads. Returns (per-path
-    lifetime utilities, PathRecords or None). With `kept` a list, each year
-    appends the slopes `_sweep` reads: (1/Q, dA/dW, u'(C/Q), v'(W/Q) or
-    None, dW'/d(W + A - C - fee) or None).
+    scenario panel, the only columns the loop reads. They are copied once to
+    year-major (T+1, paths) order, so that every year reads contiguous rows
+    and the records are written as rows. Returns (per-path lifetime
+    utilities, PathRecords or None). With `kept` a list, each year appends
+    the slopes `_sweep` reads: (1/Q, dA/dW, u'(C/Q), v'(W/Q) or None,
+    dW'/d(W + A - C - fee) or None).
     """
     B, T = R.shape[0], R.shape[1] - 1
     if curve.horizon != T:
         raise ConfigError(f"survival horizon {curve.horizon} != panel {T}")
+    R, Q = np.ascontiguousarray(R.T), np.ascontiguousarray(Q.T)
     uparams = cfg.effective_utility()
     keep = kept is not None
     W = np.full(B, cfg.w0)
     total = np.zeros(B)
     rec = None
     if record:
-        rec = PathRecords(consumption=np.empty((B, T + 1)),
-                          wealth=np.empty((B, T + 1)),
-                          pension=np.empty((B, T + 1)))
+        rec = PathRecords(*(np.empty((T + 1, B)).T for _ in range(3)))
     for t in range(T + 1):
-        Qt = Q[:, t]
+        Qt = Q[t]
         A, dA = _with_slope(age_pension(W, Qt, cfg.pension, slope=keep), keep)
-        C = consume(t, W, A, R[:, t], Qt)
+        C = consume(t, W, A, R[t], Qt)
         inv_q = 1.0 / Qt
         u, du = _with_slope(consumption_utility(C * inv_q, uparams,
                                                 slope=keep), keep)
@@ -251,14 +257,14 @@ def _rollout_engine(consume, R: np.ndarray, Q: np.ndarray,
                                                 slope=keep), keep)
             total = total + curve.dq[t] * v
         if record:
-            rec.consumption[:, t] = C * inv_q
-            rec.wealth[:, t] = W * inv_q
-            rec.pension[:, t] = A * inv_q
+            np.multiply(C, inv_q, out=rec.consumption.T[t])
+            np.multiply(W, inv_q, out=rec.wealth.T[t])
+            np.multiply(A, inv_q, out=rec.pension.T[t])
         d_next = None
         if t < T:
             fee = fees(W, Qt, cfg.account)
             W, d_next = _with_slope(transition_balance(
-                W, A, C, fee, R[:, t + 1], slope=keep), keep)
+                W, A, C, fee, R[t + 1], slope=keep), keep)
             if not np.all(np.isfinite(W)):
                 raise NumericError(f"non-finite wealth after year t={t}")
         if keep:

@@ -9,9 +9,13 @@ measured under common random numbers.
 """
 
 import dataclasses
+import hashlib
+import multiprocessing
+import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,43 +57,100 @@ def held_out_panel():
     return TrainConfig(**DESK).panel(M_TEST, TEST_SEED)
 
 
-def _train_variant(panel, **overrides) -> TrainedPolicy:
-    cfg = TrainConfig(**{**DESK, **overrides})
+# The six desk variants of criteria 4-7, by fixture name: each is DESK with
+# these overrides.
+VARIANTS = {
+    "base_policy": {},
+    "rho2_policy": dict(utility=UtilityParams(rho=2.0, phi=0.5)),
+    "phi0_policy": dict(utility=UtilityParams(rho=5.0, phi=0.0)),
+    "female_policy": dict(gender="female"),
+    "w300_policy": dict(w0=300_000.0),
+    "w1m_policy": dict(w0=1_000_000.0),
+}
+
+
+def _train_variant(panel, overrides, desk=DESK) -> TrainedPolicy:
+    cfg = TrainConfig(**{**desk, **overrides})
     t0 = time.perf_counter()
     params, _ = train(cfg, panel=panel)
     return TrainedPolicy(cfg, params, time.perf_counter() - t0)
 
 
-@pytest.fixture(scope="session")
-def base_policy(desk_train_panel):
-    return _train_variant(desk_train_panel)
+def _train_variants(panel, variants: dict, workers: int,
+                    desk=DESK) -> dict:
+    """Each variant trained on `panel`, by name: in a pool of `workers`
+    processes, or in this process if `workers` is 1. Training is fully
+    determined by its config and panel, so either way gives the same
+    weights; each variant's `seconds` is its own training's wallclock.
+    The workers are forked: a spawn pool would leave multiprocessing's
+    resource tracker running as a child for the rest of the session, where
+    the scenario-writer tests check that no child process is left."""
+    if workers <= 1:
+        return {name: _train_variant(panel, overrides, desk)
+                for name, overrides in variants.items()}
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(
+            "fork")) as pool:
+        futures = {name: pool.submit(_train_variant, panel, overrides, desk)
+                   for name, overrides in variants.items()}
+        return {name: future.result() for name, future in futures.items()}
 
 
 @pytest.fixture(scope="session")
-def rho2_policy(desk_train_panel):
-    return _train_variant(desk_train_panel,
-                          utility=UtilityParams(rho=2.0, phi=0.5))
+def desk_policies(desk_train_panel):
+    """All six variants at once, on up to six of the usable cores (in this
+    process where those cannot be counted). A run that selects one
+    criterion still trains all six."""
+    workers = min(len(VARIANTS), len(os.sched_getaffinity(0))) \
+        if hasattr(os, "sched_getaffinity") else 1
+    return _train_variants(desk_train_panel, VARIANTS, workers)
 
 
 @pytest.fixture(scope="session")
-def phi0_policy(desk_train_panel):
-    return _train_variant(desk_train_panel,
-                          utility=UtilityParams(rho=5.0, phi=0.0))
+def base_policy(desk_policies):
+    return desk_policies["base_policy"]
 
 
 @pytest.fixture(scope="session")
-def female_policy(desk_train_panel):
-    return _train_variant(desk_train_panel, gender="female")
+def rho2_policy(desk_policies):
+    return desk_policies["rho2_policy"]
 
 
 @pytest.fixture(scope="session")
-def w300_policy(desk_train_panel):
-    return _train_variant(desk_train_panel, w0=300_000.0)
+def phi0_policy(desk_policies):
+    return desk_policies["phi0_policy"]
 
 
 @pytest.fixture(scope="session")
-def w1m_policy(desk_train_panel):
-    return _train_variant(desk_train_panel, w0=1_000_000.0)
+def female_policy(desk_policies):
+    return desk_policies["female_policy"]
+
+
+@pytest.fixture(scope="session")
+def w300_policy(desk_policies):
+    return desk_policies["w300_policy"]
+
+
+@pytest.fixture(scope="session")
+def w1m_policy(desk_policies):
+    return desk_policies["w1m_policy"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_pool_training_matches_in_process(desk_train_panel):
+    """Two short desk variants give the same weight bytes in a 2-process
+    pool as trained one after the other in this process."""
+    short = {**DESK, "iterations": 20, "log_every": 10}
+    variants = {k: VARIANTS[k] for k in ("base_policy", "female_policy")}
+    pooled, inline = (_train_variants(desk_train_panel, variants, workers,
+                                      short) for workers in (2, 1))
+
+    def digest(policy):
+        return hashlib.sha256(b"".join(getattr(policy.params, n).tobytes()
+                                       for n in PARAM_FIELDS)).hexdigest()
+
+    assert {k: digest(v) for k, v in pooled.items()} == \
+        {k: digest(v) for k, v in inline.items()}
+    assert all(v.seconds > 0.0 for v in pooled.values())
 
 
 @pytest.fixture(scope="session")

@@ -127,6 +127,9 @@ def test_pension_inflation_homogeneity(w, lam):
 def test_pension_params_validation():
     with pytest.raises(ConfigError):
         PensionParams(r1=0.03, r2=0.02)
+    for n in (0, -26):
+        with pytest.raises(ConfigError, match="fortnights_per_year"):
+            PensionParams(fortnights_per_year=n)
 
 
 # --------------------------------------------------------------------- fees

@@ -334,6 +334,20 @@ def test_train_non_finite_section_value_exits_2_before_any_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-26"])
+def test_train_fortnights_below_one_exits_2_before_any_output(
+        tmp_path, capsys, value):
+    # With no fortnight in the year the asset test never binds: $2M of real
+    # wealth would draw a part pension.
+    text = "[train]\n" + "".join(f"{k} = {v}\n" for k, v in EDGE_TRAIN.items())
+    cfgp = write_config(tmp_path / "cfg.ini", text + "[pension]\n"
+                        f"fortnights_per_year = {value}\n")
+    out = tmp_path / "run"
+    assert run(["train", "--config", cfgp, "--out", out]) == 2
+    assert "fortnights_per_year must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--seed", -1], "seed must be >= 0"),
     (["--m", 0], "M and T must be at least 1"),

@@ -176,6 +176,18 @@ def test_kde_blocks_equal_one_kernel_matrix(block_rows, monkeypatch):
     assert density.tobytes() == kde_oracle(x, want, bw).tobytes()
 
 
+def test_kde_equals_the_direct_kernel_formula():
+    # log10 gaps spread over decades, at the size of one held-out label's
+    # wins; the blocks build exp(-0.5 z z) in place.
+    x = np.log10(np.random.default_rng(6).lognormal(0.0, 8.0, 9_000))
+    grid, density = kde(x)
+    bw = evaluator.silverman_bandwidth(x)
+    z = (grid[:, None] - x[None, :]) / bw
+    want = np.exp(-0.5 * z * z).sum(axis=1) / (len(x) * bw
+                                               * np.sqrt(2.0 * np.pi))
+    assert np.array_equal(density, want)
+
+
 def test_kde_blocks_equal_one_kernel_matrix_on_given_grid_and_spike():
     x = np.random.default_rng(5).standard_normal(500)
     grid, density = kde(x)
@@ -230,6 +242,25 @@ def test_median_paths_elementwise():
     assert np.array_equal(mp.wealth, [30.0, 0.0])
     assert mp.consumption_rate[0] == pytest.approx(0.1)
     assert np.isnan(mp.consumption_rate[1])
+
+
+@pytest.mark.parametrize("paths", [40, 41])
+def test_median_paths_equal_on_c_order_and_year_major_records(paths):
+    # An even and an odd path count: the median averages two middle values
+    # or takes one, along either layout.
+    rng = np.random.default_rng(paths)
+    fields = [rng.lognormal(10.0, 1.0, (paths, 9)) for _ in range(3)]
+    fields[1][:, -2:] = 0.0                 # a zero median wealth -> NaN
+    c_order = PathRecords(*fields)
+    year_major = PathRecords(*(np.ascontiguousarray(a.T).T for a in fields))
+    assert year_major.wealth.T.flags.c_contiguous
+    want, got = (median_paths(r, retirement_age=67)
+                 for r in (c_order, year_major))
+    for name in ("age", "consumption", "wealth", "consumption_rate"):
+        assert np.array_equal(getattr(want, name), getattr(got, name),
+                              equal_nan=True)
+    assert np.array_equal(want.consumption,
+                          [np.median(fields[0][:, j]) for j in range(9)])
 
 
 def test_median_paths_empty_rejected():

@@ -20,7 +20,8 @@ from superdraw.errors import ConfigError, NumericError
 from superdraw.mortality import load_life_table, survival_curve
 from superdraw.policy import PARAM_FIELDS, backward, he_init, load_checkpoint
 from superdraw.trainer import (AdamState, PathRecords, TrainConfig,
-                               adam_step, adam_step_size, batch_objective,
+                               _rollout_engine, adam_step, adam_step_size,
+                               batch_objective,
                                network_consumer, rollout, rollout_consume,
                                train)
 from superdraw.esg import ScenarioPanel
@@ -134,6 +135,43 @@ def test_horizon_mismatch_rejected():
     with pytest.raises(ConfigError):
         rollout_consume(lambda t, W, A, R, Q: 0.0 * W, synthetic_panel(2, 5),
                         curve, cfg)
+
+
+def test_engine_is_bit_identical_across_input_layouts():
+    # The engine copies R and Q to year-major rows once; the layout of what
+    # it is given must not change a bit of its utilities, records or
+    # gradients. The rows 2, 8, ..., 38 of a panel arrive as a fancy-indexed
+    # C-order copy, an F-order copy and a strided view.
+    cfg = small_config(horizon=10)
+    curve = cfg.curve()
+    panel = synthetic_panel(40, cfg.horizon, seed=6)
+    params = he_init(seed=3)
+    idx = np.arange(2, 40, 6)
+    layouts = [(panel.R[idx], panel.Q[idx]),
+               (np.asfortranarray(panel.R[idx]),
+                np.asfortranarray(panel.Q[idx])),
+               (panel.R[2:40:6], panel.Q[2:40:6])]
+    assert not layouts[2][0].flags.c_contiguous
+    results = []
+    for R, Q in layouts:
+        total, rec = _rollout_engine(network_consumer(params, cfg.norm()),
+                                     R, Q, curve, cfg, record=True)
+        obj, _, _ = batch_objective(params, R, Q, curve, cfg)
+        grads = backward(obj)
+        for a in (rec.consumption, rec.wealth, rec.pension):
+            assert a.shape == (len(idx), cfg.horizon + 1)
+        results.append([total, rec.consumption, rec.wealth, rec.pension,
+                        np.array(float(obj.value)),
+                        *(getattr(grads, n) for n in PARAM_FIELDS)])
+    for other in results[1:]:
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(results[0], other))
+    # The records keep path order: the whole panel's rows idx agree (to
+    # rounding, since the network's matrix products see another batch size).
+    whole, rec = rollout_consume(network_consumer(params, cfg.norm()),
+                                 panel, curve, cfg, record=True)
+    assert results[0][0] == pytest.approx(whole[idx], rel=1e-12)
+    assert results[0][2] == pytest.approx(rec.wealth[idx], rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
