@@ -200,7 +200,8 @@ def cmd_train(args) -> int:
 
     try:
         params, report = train(cfg, panel, progress=progress,
-                               checkpoint_dir=checkpoint_dir, curve=curve)
+                               checkpoint_dir=checkpoint_dir, curve=curve,
+                               log=lambda line: print(line, flush=True))
     except TrainingAborted as exc:
         exc.report.to_csv(out / "report.csv")
         raise

@@ -17,6 +17,15 @@ draws a batch of scenario paths, evaluates the mortality-weighted utility
 objective, runs the sweep, and applies the bias-corrected update to the
 negated gradient. The step starts at 3.25 times the configured learning
 rate and decays linearly back to it by iteration 800.
+
+The weights start from `he_init`, except the head bias b3. It is set so
+that the untrained network spends the annuity drawdown in year 0: the
+fraction f0 = (w0 / a + A0) / (w0 + A0) of the resources w0 + A0, where a
+is the mortality-weighted real annuity factor at the training panel's own
+returns (`annuity_factor`) and A0 the year-0 pension. Every path has the
+same year-0 input, so the fraction is f0 on every path. Where f0 is not
+finite or not strictly inside (0, 1) (a horizon of 0, w0 = 0, or returns
+so high that every later year discounts to 0) b3 stays at 0.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ __all__ = [
     "rollout_consume",
     "network_consumer",
     "PathRecords",
+    "annuity_factor",
     "train",
 ]
 
@@ -408,17 +418,63 @@ def adam_step(state: AdamState, params: MlpParams, grad: MlpParams,
 # -------------------------------------------------------------------- train
 
 
+def annuity_factor(R: np.ndarray, Q: np.ndarray, tpx: np.ndarray) -> float:
+    """Mortality-weighted real annuity factor of the (paths, T+1) panel
+    columns R and Q:
+
+        sum_t tpx[t] mean_m(Q[m, t] exp(-sum_{s<=t} R[m, s]))
+
+    the price at retirement of one real dollar a year while alive,
+    discounted at the panel's own returns. Runs one year at a time on
+    (paths,) vectors, so it adds no (paths, T+1) temporary to a training
+    run. inf or NaN where the discount overflows.
+    """
+    log_growth = np.zeros(R.shape[0])
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(R.shape[1]):
+            log_growth += R[:, t]
+            total += tpx[t] * float(np.mean(Q[:, t] * np.exp(-log_growth)))
+    return total
+
+
+def _annuity_start(params: MlpParams, cfg: TrainConfig, panel: ScenarioPanel,
+                   curve: SurvivalCurve) -> tuple[MlpParams, str]:
+    """`params` with the head bias that makes the year-0 fraction the
+    annuity drawdown f0, and a line describing it; `params` unchanged if
+    f0 is not strictly inside (0, 1)."""
+    annuity = annuity_factor(panel.R, panel.Q, curve.tpx)
+    pension = float(age_pension(cfg.w0, 1.0, cfg.pension))
+    # a is at least 1 (year 0 alone gives 1) or NaN, and A0 > 0 at w0 = 0.
+    f0 = (cfg.w0 / annuity + pension) / (cfg.w0 + pension)
+    if not 0.0 < f0 < 1.0:           # also False for NaN
+        return params, (f"initial year-0 fraction {f0:.4g} is not inside "
+                        f"(0, 1); head bias kept at 0")
+    x0 = normalized_inputs(np.zeros(1), np.full(1, cfg.w0), np.zeros(1),
+                           np.ones(1), cfg.norm())
+    _, layers = policy_fraction({n: getattr(params, n) for n in PARAM_FIELDS},
+                                x0)
+    b3 = np.log(f0) - np.log1p(-f0) - params.w3 @ layers[-1]
+    return (dataclasses.replace(params, b3=b3),
+            f"initial year-0 fraction {f0:.4f} (annuity factor "
+            f"{annuity:.2f}, pension ${pension:,.0f})")
+
+
 def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
           progress=None, checkpoint_dir=None,
-          curve: SurvivalCurve | None = None) -> tuple[MlpParams, TrainReport]:
+          curve: SurvivalCurve | None = None,
+          log=None) -> tuple[MlpParams, TrainReport]:
     """Maximize the expected lifetime utility by minibatch gradient ascent.
 
     Deterministic for a fixed config: the scenario panel derives from
-    cfg.seed, the initialization from cfg.seed + 1, and the batch schedule
-    from cfg.seed + 2. Pass `panel` to reuse a pre-simulated training panel
-    (it must match cfg.m_train and cfg.horizon), and `curve` to reuse
-    `cfg.curve()`. Iteration k takes the Adam step
-    `adam_step_size(cfg.learning_rate, k)`. `progress`, if given, is
+    cfg.seed, the initialization from cfg.seed + 1 (its head bias also
+    from the panel, the survival curve, w0 and the pension), and the batch
+    schedule from cfg.seed + 2. Pass `panel` to reuse a pre-simulated
+    training panel (it must match cfg.m_train and cfg.horizon), and
+    `curve` to reuse `cfg.curve()`. Iteration k takes the Adam step
+    `adam_step_size(cfg.learning_rate, k)`. `log`, if given, is called
+    once before iteration 1 with a line naming the initial year-0
+    fraction. `progress`, if given, is
     called with (iteration, objective) at the logging cadence. With
     `checkpoint_dir` set, numbered checkpoints are written at iteration
     0, every `checkpoint_every` iterations and at the last one, which
@@ -431,7 +487,10 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
         panel = cfg.training_panel()
     if panel.M != cfg.m_train or panel.T != cfg.horizon:
         raise ConfigError("supplied panel does not match the config")
-    params = he_init(seed=cfg.seed + 1)
+    params, start = _annuity_start(he_init(seed=cfg.seed + 1), cfg, panel,
+                                   curve)
+    if log is not None:
+        log(start)
     adam = AdamState.fresh(params)
     batch_rng = np.random.default_rng(cfg.seed + 2)
     report = TrainReport()

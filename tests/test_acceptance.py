@@ -330,13 +330,17 @@ def test_criterion_4_outperformance(request, base_policy, base_eval):
     fracs = {k.value: base_eval.outperformance[k.value] / M_TEST
              for k in StrategyKind}
     min_frac = min(fracs.values())
+    worst = min(fracs, key=fracs.get)
     ok = min_frac >= 0.90 and base_policy.seconds <= 900.0 and \
         base_policy.cfg.iterations >= 2_000
+    # The rounded rate can read 100.0% with a few paths lost; the count
+    # shows them.
     record_criterion(
         request.config, 4, "desk-scale outperformance", ok,
-        f"min win rate {min_frac:.1%} (worst: "
-        f"{min(fracs, key=fracs.get)}), trained {DESK['iterations']} "
-        f"iterations in {base_policy.seconds / 60:.1f} min")
+        f"min win rate {min_frac:.1%} (worst: {worst}, "
+        f"{base_eval.outperformance[worst]:,} of {M_TEST:,} paths), trained "
+        f"{DESK['iterations']} iterations in "
+        f"{base_policy.seconds / 60:.1f} min")
     assert base_policy.cfg.iterations >= 2_000
     for label, frac in fracs.items():
         assert frac >= 0.90, (label, frac)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,23 @@ checkpoint_every = 1
     rep = list(csv.DictReader(open(out / "report.csv")))
     assert [r["iter"] for r in rep] == ["1", "2", "3"]
     assert all(np.isfinite(float(r["objective"])) for r in rep)
+
+
+@pytest.mark.parametrize("w0, start", [
+    ("500000", r"initial year-0 fraction 0\.\d{4} \(annuity factor "
+               r"\d+\.\d\d, pension \$\d{1,2},\d{3}\)"),
+    ("0", r"initial year-0 fraction 1 is not inside \(0, 1\); head bias "
+          r"kept at 0")])
+def test_train_prints_the_initial_year0_fraction_first(tmp_path, capsys, w0,
+                                                       start):
+    cfgp = write_config(tmp_path / "cfg.ini", TINY_TRAIN + f"w0 = {w0}\n")
+    assert run(["train", "--config", cfgp, "--out", tmp_path / "run"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(start, lines[0])
+    assert lines[1].startswith("iter ")
+    # The benchmark times iterations by the lines that match this pattern
+    # (bench/workloads.py); the start line is not one of them.
+    assert not re.search(r"iter\s+(\d+)\s+objective", lines[0])
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

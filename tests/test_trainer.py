@@ -15,12 +15,15 @@ import pytest
 
 from conftest import map_params, perturb
 from oracles import lifetime_utility_oracle, straight_line_objective
-from superdraw.account import AccountParams, PensionParams
+from superdraw.account import AccountParams, PensionParams, age_pension
 from superdraw.errors import ConfigError, NumericError
 from superdraw.mortality import load_life_table, survival_curve
-from superdraw.policy import PARAM_FIELDS, backward, he_init, load_checkpoint
+from superdraw.policy import (PARAM_FIELDS, backward, he_init,
+                             load_checkpoint, normalized_inputs,
+                             policy_fraction)
 from superdraw.trainer import (AdamState, PathRecords, TrainConfig,
-                               _rollout_engine, adam_step, adam_step_size,
+                               TrainingAborted, _rollout_engine,
+                               adam_step, adam_step_size, annuity_factor,
                                batch_objective,
                                network_consumer, rollout, rollout_consume,
                                train)
@@ -339,13 +342,75 @@ def test_batch_objective_counts_paths_at_the_depletion_floor():
 # ------------------------------------------------------------------ training
 
 
+def _direct_annuity_factor(panel, curve):
+    """The annuity factor from whole (paths, T+1) arrays."""
+    discount = panel.Q * np.exp(-np.cumsum(panel.R, axis=1))
+    return float(np.sum(curve.tpx * discount.mean(axis=0)))
+
+
+def test_annuity_factor_matches_the_direct_formula():
+    cfg = small_config(horizon=12)
+    curve = cfg.curve()
+    panel = synthetic_panel(50, cfg.horizon, seed=4)
+    got = annuity_factor(panel.R, panel.Q, curve.tpx)
+    assert got == pytest.approx(_direct_annuity_factor(panel, curve),
+                                rel=1e-12, abs=0.0)
+    assert 1.0 < got < cfg.horizon + 1
+
+
 def test_zero_iterations_returns_initialization():
+    # he_init's weights, and a head bias that makes the year-0 fraction the
+    # annuity drawdown f0 = (w0 / a + A0) / (w0 + A0) on every path.
     cfg = small_config(iterations=0)
-    params, report = train(cfg)
+    lines = []
+    params, report = train(cfg, log=lines.append)
+    init = he_init(seed=cfg.seed + 1)
+    for n in PARAM_FIELDS[:-1]:
+        assert np.array_equal(getattr(params, n), getattr(init, n))
+    assert report.rows == []
+    panel, curve = cfg.training_panel(), cfg.curve()
+    annuity = _direct_annuity_factor(panel, curve)
+    pension = float(age_pension(cfg.w0, 1.0, cfg.pension))
+    f0 = (cfg.w0 / annuity + pension) / (cfg.w0 + pension)
+    assert 0.0 < f0 < 1.0
+    x = normalized_inputs(np.zeros(cfg.m_train), np.full(cfg.m_train, cfg.w0),
+                          panel.R[:, 0], panel.Q[:, 0], cfg.norm())
+    frac, _ = policy_fraction({n: getattr(params, n) for n in PARAM_FIELDS},
+                              x)
+    np.testing.assert_allclose(frac, f0, rtol=0.0, atol=1e-12)
+    assert lines == [f"initial year-0 fraction {f0:.4f} (annuity factor "
+                     f"{annuity:.2f}, pension ${pension:,.0f})"]
+
+
+def _overflowing_panel(M, T):
+    """A panel whose returns of 800 a year discount every later year to 0
+    and overflow wealth in the first step."""
+    panel = synthetic_panel(M, T)
+    R = panel.R.copy()
+    R[:, 1:] = 800.0
+    return dataclasses.replace(panel, R=R)
+
+
+@pytest.mark.parametrize("kw, make_panel", [
+    ({"horizon": 0}, synthetic_panel), ({"w0": 0.0}, None),
+    ({}, _overflowing_panel)], ids=["horizon 0", "w0 0", "overflow"])
+def test_degenerate_start_keeps_the_zero_head_bias(kw, make_panel):
+    # f0 is 1 in each case; training starts from he_init unchanged.
+    cfg = small_config(iterations=0, **kw)
+    panel = cfg.training_panel() if make_panel is None else \
+        make_panel(cfg.m_train, cfg.horizon)
+    lines = []
+    params, _ = train(cfg, panel, log=lines.append)
     init = he_init(seed=cfg.seed + 1)
     for n in PARAM_FIELDS:
         assert np.array_equal(getattr(params, n), getattr(init, n))
-    assert report.rows == []
+    assert lines == ["initial year-0 fraction 1 is not inside (0, 1); "
+                     "head bias kept at 0"]
+    if make_panel is _overflowing_panel:
+        # The first step still ends in the non-finite wealth abort.
+        with pytest.raises(TrainingAborted, match="non-finite wealth"), \
+                np.errstate(over="ignore"):
+            train(dataclasses.replace(cfg, iterations=1), panel)
 
 
 def test_training_is_deterministic():

@@ -10,10 +10,11 @@ of the checkpoint directory on 10,000 held-out paths (seed 777 unless
 `superdraw.cli.main`, in a temporary directory. It prints one row per
 seed: the first checkpoint whose policy beats every baseline on at least
 99% of the held-out paths (`bench/checks.target_iteration`; "-" if none
-does), then the minimum over the six baselines of the paths the policy
-beats, every 100 iterations, and last the lowest such count at any
-checkpoint after the first one above half the held-out paths ("-" if none
-is): a collapse shows there.
+does), the first that beats every baseline on every held-out path (the
+same function at a share of 1), then the minimum over the six baselines
+of the paths the policy beats, every 100 iterations, and last the lowest
+such count at any checkpoint after the first one above half the held-out
+paths ("-" if none is): a collapse shows there.
 
 `--src` names the source tree whose `superdraw` runs (default: this
 checkout's `src/`), so the same sweep scores another checkout, for
@@ -90,8 +91,8 @@ def main(argv=None) -> int:
     shown = list(range(PRINT_EVERY, args.iterations + 1, PRINT_EVERY))
     print(f"superdraw from {args.src}; held-out seed {args.test_seed}, "
           f"{m_test} paths; target {math.ceil(share * m_test)} wins")
-    print("seed  99% at  min wins at " + " ".join(f"{it:>6d}" for it in shown)
-          + "  after 50%", flush=True)
+    print("seed  99% at  100% at  min wins at "
+          + " ".join(f"{it:>6d}" for it in shown) + "  after 50%", flush=True)
     with tempfile.TemporaryDirectory(prefix="seed_sweep_") as tmp:
         for seed in range(1, args.seeds + 1):
             csv_path = sweep_seed(superdraw_main, seed, Path(tmp),
@@ -99,6 +100,7 @@ def main(argv=None) -> int:
             wins = {it: min(counts.values()) for it, counts in
                     checks.read_outperformance(csv_path).items()}
             first = checks.target_iteration(csv_path, m_test, share) or "-"
+            every = checks.target_iteration(csv_path, m_test, 1.0) or "-"
             cells = " ".join(f"{wins[it]:>6d}" if it in wins else f"{'-':>6}"
                              for it in shown)
             its = sorted(wins)
@@ -106,8 +108,8 @@ def main(argv=None) -> int:
                           if wins[it] > m_test // 2), None)
             low = "-" if above is None else min(wins[it]
                                                 for it in its[above:])
-            print(f"{seed:>4}  {first:>6}  {'':12}{cells}  {low:>8}",
-                  flush=True)
+            print(f"{seed:>4}  {first:>6}  {every:>7}  {'':12}{cells}  "
+                  f"{low:>8}", flush=True)
     return 0
 
 
