@@ -17,7 +17,10 @@ second part (`tail`) can be formatted by a forked helper process into an
 unlinked temporary file while this process formats the first part, and is
 then appended. Both processes run the same block loop, so the bytes are
 those of writing every section in one process, which is what happens when
-`os.fork` is missing or fewer than two CPUs are usable.
+`os.fork` is missing or fewer than two CPUs are usable. The same fork,
+kill and reap (`_helper`) also serve other work that one process can hand
+to a second CPU, such as `evaluate`'s snapshot rollouts, which run BLAS
+matrix products in the helper.
 """
 
 from __future__ import annotations
@@ -92,27 +95,30 @@ def _write_rows(fh, sections) -> None:
 
 
 @contextlib.contextmanager
-def _helper(directory, sections):
-    """Fork a process that writes `sections` into an unlinked temporary
-    file in `directory`. Yields a function that reaps it and returns that
-    file at offset 0; a helper not reaped by then is killed and reaped.
+def _helper(directory, fill):
+    """Fork a process that runs `fill(tmp)`, writing into `tmp`, an
+    unlinked binary temporary file in `directory`. Yields a function that
+    reaps it and returns that file at offset 0; a helper that failed raises
+    OSError there, and one not reaped by then is killed and reaped.
 
-    Forking a process that has BLAS threads is safe here because the
-    helper only slices arrays and formats text.
+    Forking a process that has BLAS threads is safe: OpenBLAS stops its
+    thread pool before a fork and starts it again when next needed. A
+    helper that runs matrix products should keep them below OpenBLAS's
+    threading limit (see `trainer.EVAL_BLOCK`), so that it and this process
+    each keep to one CPU.
     """
     with tempfile.TemporaryFile(dir=directory) as tmp:
         pid = os.fork()
         if pid == 0:
             status = 1
             try:
-                with open(tmp.fileno(), "w", newline="",
-                          closefd=False) as out:
-                    _write_rows(out, sections)
+                fill(tmp)
+                tmp.flush()
                 status = 0
             except BaseException as exc:
                 # The helper never returns into the caller's code; its
                 # failure reaches the parent as the exit status.
-                os.write(2, f"CSV helper process: {exc!r}\n".encode())
+                os.write(2, f"helper process: {exc!r}\n".encode())
             finally:
                 os._exit(status)
         running = True
@@ -123,7 +129,7 @@ def _helper(directory, sections):
             running = False
             code = os.waitstatus_to_exitcode(wait_status)
             if code:
-                raise OSError(f"CSV helper process {pid} exited with "
+                raise OSError(f"helper process {pid} exited with "
                               f"status {code}")
             tmp.seek(0)
             return tmp
@@ -147,9 +153,14 @@ def write_csv(path, header: str, sections, tail=()) -> None:
     helper and removes the partial file.
     """
     split = bool(tail) and hasattr(os, "fork") and _usable_cpus() >= 2
+
+    def fill(tmp):
+        with open(tmp.fileno(), "w", newline="", closefd=False) as out:
+            _write_rows(out, tail)
+
     fh = open(path, "w", newline="")
     try:
-        with fh, _helper(Path(path).parent, tail) if split \
+        with fh, _helper(Path(path).parent, fill) if split \
                 else contextlib.nullcontext() as reap:
             fh.write(header)
             _write_rows(fh, sections)

@@ -28,9 +28,9 @@ from ._csvblock import write_csv
 from .baselines import StrategyKind
 from .errors import ConfigError, DataError, NumericError
 from .evaluator import (POLICY_LABEL, compare, evaluate_policy,
-                        outperformance_curve, write_kde_csv,
-                        write_medians_csv, write_outperformance_csv,
-                        write_utilities_csv)
+                        outperformance_curve, snapshots_in_helper,
+                        write_kde_csv, write_medians_csv,
+                        write_outperformance_csv, write_utilities_csv)
 from .policy import load_checkpoint
 from .trainer import TrainConfig, TrainingAborted, train
 
@@ -268,14 +268,17 @@ def cmd_evaluate(args) -> int:
     panel = cfg.panel(m_test, test_seed)
     out = _out_dir(args)
     strategies = list(StrategyKind)
-    report = compare(params, strategies, panel, cfg, curve=curve)
-    write_utilities_csv(report, out / "utilities.csv")
-    for label, mp in report.medians.items():
-        write_medians_csv(mp, out / f"medians_{label}.csv")
-    for label, dd in report.densities.items():
-        write_kde_csv(dd, out / f"kde_{label}.csv")
-    rows = outperformance_curve(seq, strategies, panel, cfg, curve=curve,
-                                base_utilities=report.utilities, policy=params)
+    # A helper rolls the other snapshots while this process runs `compare`.
+    with snapshots_in_helper(seq, panel, cfg, curve, params, out) as rolled:
+        report = compare(params, strategies, panel, cfg, curve=curve)
+        write_utilities_csv(report, out / "utilities.csv")
+        for label, mp in report.medians.items():
+            write_medians_csv(mp, out / f"medians_{label}.csv")
+        for label, dd in report.densities.items():
+            write_kde_csv(dd, out / f"kde_{label}.csv")
+        rows = outperformance_curve(seq, strategies, panel, cfg, curve=curve,
+                                    base_utilities=report.utilities,
+                                    policy=params, rolled=rolled())
     write_outperformance_csv(rows, out / "outperformance.csv")
     _echo_config(cfg, out, {"command": "evaluate", "m_test": m_test,
                             "test_seed": test_seed,

@@ -9,10 +9,13 @@ consumption and wealth paths.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csvblock
 from ._csvblock import BLOCK_ROWS, literal, write_csv
 from .baselines import rollout_strategy
 from .errors import ConfigError
@@ -29,6 +32,8 @@ __all__ = [
     "MedianPaths",
     "evaluate_policy",
     "compare",
+    "snapshot_utilities",
+    "snapshots_in_helper",
     "outperformance_curve",
     "silverman_bandwidth",
     "kde",
@@ -107,26 +112,75 @@ def compare(params: MlpParams, strategies, panel: ScenarioPanel,
     return report
 
 
+def _same(params: MlpParams, policy: MlpParams) -> bool:
+    return params.allclose(policy, rtol=0, atol=0)
+
+
+def snapshot_utilities(snapshots, panel: ScenarioPanel, cfg: TrainConfig,
+                       curve: SurvivalCurve, policy: MlpParams) -> list:
+    """Per-path utilities of each (iteration, MlpParams) snapshot whose
+    weights differ from `policy`, in order: the rollouts that
+    `outperformance_curve` needs besides `compare`'s."""
+    return [evaluate_policy(params, panel, curve, cfg)[0]
+            for _, params in snapshots if not _same(params, policy)]
+
+
+@contextlib.contextmanager
+def snapshots_in_helper(snapshots, panel: ScenarioPanel, cfg: TrainConfig,
+                        curve: SurvivalCurve, policy: MlpParams, directory):
+    """Run `snapshot_utilities` in a forked helper while the block runs.
+
+    Yields a function that waits for the helper and returns its list, which
+    passes through an unlinked temporary file in `directory`. It returns
+    None where no helper was forked (no `os.fork`, fewer than two usable
+    CPUs, or no snapshot to roll) or the helper failed; the snapshots are
+    then rolled in this process by `outperformance_curve`, so a failure is
+    raised there as it would be without a helper. A helper still running
+    when the block ends is killed and reaped.
+    """
+    if not (hasattr(os, "fork") and _csvblock._usable_cpus() >= 2
+            and any(not _same(params, policy) for _, params in snapshots)):
+        yield lambda: None
+        return
+
+    def fill(tmp):
+        np.save(tmp, np.array(snapshot_utilities(snapshots, panel, cfg,
+                                                 curve, policy)))
+
+    with _csvblock._helper(directory, fill) as reap:
+        def rolled():
+            try:
+                return list(np.load(reap()))
+            except OSError:
+                return None
+
+        yield rolled
+
+
 def outperformance_curve(snapshots, strategies, panel: ScenarioPanel,
                          cfg: TrainConfig, curve: SurvivalCurve,
-                         base_utilities: dict, policy: MlpParams):
+                         base_utilities: dict, policy: MlpParams,
+                         rolled: list | None = None):
     """Win counts per training snapshot; rows of (iteration, label, count).
 
     `snapshots` is a sequence of (iteration, MlpParams) in ascending order.
     `base_utilities` maps each strategy label to its per-path utilities on
     this panel, and `POLICY_LABEL` to those of the weights `policy`, as
     `compare(policy, ...).utilities` does. A snapshot whose weights equal
-    `policy` reuses those utilities instead of being rolled out again.
+    `policy` reuses those utilities instead of being rolled out again. The
+    others' utilities are `rolled`, as `snapshot_utilities` returns them,
+    or are rolled out here when `rolled` is None.
     """
     iters = [it for it, _ in snapshots]
     if iters != sorted(iters):
         raise ConfigError("snapshots must be in ascending iteration order")
+    if rolled is None:
+        rolled = snapshot_utilities(snapshots, panel, cfg, curve, policy)
+    rolled = iter(rolled)
     rows = []
     for it, params in snapshots:
-        if params.allclose(policy, rtol=0, atol=0):
-            u_pol = base_utilities[POLICY_LABEL]
-        else:
-            u_pol, _ = evaluate_policy(params, panel, curve, cfg)
+        u_pol = base_utilities[POLICY_LABEL] if _same(params, policy) \
+            else next(rolled)
         for kind in strategies:
             count = int(np.sum(u_pol > base_utilities[kind.value]))
             rows.append((it, kind.value, count))

@@ -205,20 +205,37 @@ class PathRecords:
 # ------------------------------------------------------------------ rollout
 
 
+# Paths per network pass when evaluating: a 20 x 20 x 512 matrix product is
+# below OpenBLAS's single-thread limit of 65,536 x 4 multiply-adds, so an
+# evaluation never wakes a BLAS thread, and two processes can evaluate on
+# two cores without their BLAS threads taking each other's core. The block
+# must be a multiple of the matrix kernels' column width (8 for OpenBLAS's
+# Haswell kernel; 500 is not) for each path to get the bits of one pass;
+# a power of two is a multiple of every such width.
+EVAL_BLOCK = 512
+
+
 def network_consumer(params: MlpParams, norm: PolicyNorm,
                      kept: list | None = None):
     """Consumption rule driven by the network.
 
     With `kept` a list, each call appends the year's resources W + A and
-    the network's (fraction, layers) for `_sweep`.
+    the network's (fraction, layers) for `_sweep`. Without it the network
+    runs over blocks of at most EVAL_BLOCK paths; each path's fraction is
+    bit for bit what one pass over all paths gives.
     """
     w = {n: getattr(params, n) for n in PARAM_FIELDS}
 
     def consume(t, W, A, R, Q):
         x = normalized_inputs(np.full(len(Q), float(t)), W, R, Q, norm)
-        frac, layers = policy_fraction(w, x)
         if kept is not None:
+            frac, layers = policy_fraction(w, x)
             kept.append((W + A, frac, layers))
+        else:
+            frac = np.empty(len(Q))
+            for i in range(0, len(Q), EVAL_BLOCK):
+                frac[i:i + EVAL_BLOCK] = policy_fraction(
+                    w, x[:, i:i + EVAL_BLOCK])[0]
         return (W + A) * frac
 
     return consume

@@ -4,16 +4,21 @@ import csv
 import dataclasses
 import os
 import re
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from superdraw import _csvblock, cli, evaluator
+from superdraw.baselines import StrategyKind
 from superdraw.cli import main
 from superdraw.esg import DEFAULT_PARAMS, load_params
 from superdraw.trainer import TrainConfig
+from test_esg import _assert_no_helper_left, _count_forks
 
 
 def run(argv):
@@ -462,8 +467,9 @@ def _recount_outperformance(cfgp, ckpt_dir, m_test, seed):
     return rows
 
 
-def _evaluate_counting_rollouts(tmp_path, monkeypatch, final_is_last):
-    """Evaluate a five-snapshot directory; returns each rollout's path count.
+def _evaluate_counting_rollouts(tmp_path, monkeypatch, final_is_last, cpus):
+    """Evaluate a five-snapshot directory with `cpus` usable CPUs; returns
+    the path count of each rollout in this process and in a helper.
 
     Numbered checkpoints are 0, 10, 20, 30 and 40. Unless `final_is_last`,
     `checkpoint_final.npz` is replaced by weights equal to none of them.
@@ -484,14 +490,17 @@ def _evaluate_counting_rollouts(tmp_path, monkeypatch, final_is_last):
         save_checkpoint(final, perturb(params, "b3", 0, 0, 1e-3), norm,
                         iteration=meta["iteration"])
 
-    real = trainer._rollout_engine
-    rolled = []
+    # Each rollout appends its process and path count to a file, so that
+    # a helper's rollouts are counted as well.
+    real, log = trainer._rollout_engine, tmp_path / "rolled.txt"
 
     def counted(consume, R, Q, *args, **kwargs):
-        rolled.append(len(R))
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(R)}\n")
         return real(consume, R, Q, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "_rollout_engine", counted)
+    monkeypatch.setattr(_csvblock, "_usable_cpus", lambda: cpus)
     out = tmp_path / "eval"
     assert run(["evaluate", "--config", cfgp, "--checkpoint", ckpts,
                 "--m-test", 30, "--seed", 99, "--out", out]) == 0
@@ -501,20 +510,160 @@ def _evaluate_counting_rollouts(tmp_path, monkeypatch, final_is_last):
                 for r in csv.DictReader(fh)]
     assert [r[0] for r in rows[::6]] == [0, 10, 20, 30, 40]
     assert rows == _recount_outperformance(cfgp, ckpts, 30, 99)
-    return rolled
+    rolled = [line.split() for line in log.read_text().splitlines()]
+    here = [int(n) for pid, n in rolled if int(pid) == os.getpid()]
+    helpers = {pid for pid, _ in rolled if int(pid) != os.getpid()}
+    assert len(helpers) <= 1
+    return here, [int(n) for pid, n in rolled if pid in helpers]
 
 
 def test_evaluate_directory_rolls_final_policy_once(tmp_path, monkeypatch):
     # `compare` rolls the final policy and the six baselines; the last
     # numbered snapshot equals the final policy and reuses its utilities.
-    rolled = _evaluate_counting_rollouts(tmp_path, monkeypatch, True)
+    rolled, _ = _evaluate_counting_rollouts(tmp_path, monkeypatch, True, 1)
     assert rolled == [30] * 11
 
 
 def test_evaluate_directory_rolls_every_snapshot_unlike_final(tmp_path,
                                                              monkeypatch):
-    rolled = _evaluate_counting_rollouts(tmp_path, monkeypatch, False)
+    rolled, _ = _evaluate_counting_rollouts(tmp_path, monkeypatch, False, 1)
     assert rolled == [30] * 12
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper needs fork")
+@pytest.mark.parametrize("final_is_last", [True, False])
+def test_evaluate_helper_rolls_the_snapshots_unlike_final(
+        tmp_path, monkeypatch, final_is_last):
+    # With two usable CPUs this process rolls the final policy and the six
+    # baselines, and one helper rolls the snapshots that differ from it.
+    here, helper = _evaluate_counting_rollouts(tmp_path, monkeypatch,
+                                               final_is_last, 2)
+    assert here == [30] * 7
+    assert helper == [30] * (4 if final_is_last else 5)
+
+
+EVAL_FILES = ["utilities.csv", "outperformance.csv", "config_used.ini",
+              "medians_policy.csv",
+              *(f"medians_{k.value}.csv" for k in StrategyKind),
+              *(f"kde_{k.value}.csv" for k in StrategyKind)]
+
+
+def _evaluate_in_layout(trained_run, out, monkeypatch, capfd, cpus,
+                        checkpoint=None):
+    """(exit code, forks, captured output) of `evaluate` of the trained
+    run's checkpoint directory, or of `checkpoint`, with `cpus` usable
+    CPUs."""
+    cfgp, run_dir = trained_run
+    monkeypatch.setattr(_csvblock, "_usable_cpus", lambda: cpus)
+    forks = _count_forks(monkeypatch)
+    capfd.readouterr()
+    code = run(["evaluate", "--config", cfgp, "--checkpoint",
+                checkpoint or run_dir / "checkpoints", "--m-test", 40,
+                "--seed", 99, "--out", out])
+    return code, len(forks), capfd.readouterr()
+
+
+def _files(directory) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("target", ["directory", "file"])
+def test_evaluate_outputs_do_not_depend_on_the_layout(
+        trained_run, tmp_path, monkeypatch, capfd, target):
+    # With two usable CPUs a helper rolls the snapshots that differ from
+    # the final policy; a single checkpoint file has none, so no helper.
+    ckpt = trained_run[1] / "checkpoints"
+    if target == "file":
+        ckpt = ckpt / "checkpoint_000000.npz"
+    got = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus{cpus}"
+        code, forks, printed = _evaluate_in_layout(
+            trained_run, out, monkeypatch, capfd, cpus, ckpt)
+        assert code == 0
+        assert forks == (cpus == 2 and target == "directory"
+                         and hasattr(os, "fork"))
+        _assert_no_helper_left(out, EVAL_FILES)
+        got[cpus] = printed.out, _files(out)
+    assert got[1] == got[2]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper needs fork")
+def test_evaluate_helper_failure_rolls_its_snapshots_here(
+        trained_run, tmp_path, monkeypatch, capfd):
+    # A helper that fails is reaped and its snapshots are rolled in this
+    # process: the same files and stdout as the one-CPU layout.
+    code, _, want = _evaluate_in_layout(trained_run, tmp_path / "one",
+                                        monkeypatch, capfd, 1)
+    assert code == 0
+    _assert_no_helper_left(tmp_path / "one", EVAL_FILES)
+    parent, real = os.getpid(), evaluator.snapshot_utilities
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise OSError(28, "No space left on device")
+        return real(*args)
+
+    monkeypatch.setattr(evaluator, "snapshot_utilities", failing)
+    code, forks, got = _evaluate_in_layout(trained_run, tmp_path / "two",
+                                           monkeypatch, capfd, 2)
+    assert (code, forks) == (0, 1)
+    assert "helper process: OSError(28" in got.err
+    assert got.out == want.out
+    _assert_no_helper_left(tmp_path / "two", EVAL_FILES)
+    assert _files(tmp_path / "two") == _files(tmp_path / "one")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_evaluate_write_failure_kills_the_helper(trained_run, tmp_path,
+                                                 monkeypatch, capfd, cpus):
+    # A failed --out write in this process exits 5; a helper still busy
+    # (here for a minute) is killed and reaped, not waited for.
+    parent, real = os.getpid(), evaluator.snapshot_utilities
+
+    def slow(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return real(*args)
+
+    def full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(evaluator, "snapshot_utilities", slow)
+    monkeypatch.setattr(cli, "write_utilities_csv", full)
+    out = tmp_path / "eval"
+    start = time.monotonic()
+    code, forks, printed = _evaluate_in_layout(trained_run, out,
+                                               monkeypatch, capfd, cpus)
+    assert time.monotonic() - start < 30
+    assert code == 5 and "No space left on device" in printed.err
+    assert forks == (cpus == 2 and hasattr(os, "fork"))
+    _assert_no_helper_left(out, [])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_evaluate_nonfinite_snapshot_wealth_exits_4(trained_run, tmp_path,
+                                                    monkeypatch, capfd,
+                                                    cpus):
+    # Snapshot 0's first layer overflows, so its network spends NaN and
+    # its wealth is not finite after year 0; the final policy and the
+    # baselines stay finite. Either layout raises it in this process.
+    from superdraw.policy import load_checkpoint, save_checkpoint
+    ckpts = tmp_path / "checkpoints"
+    shutil.copytree(trained_run[1] / "checkpoints", ckpts)
+    first = ckpts / "checkpoint_000000.npz"
+    params, norm, _ = load_checkpoint(first)
+    params.w0[:] = 1e308
+    save_checkpoint(first, params, norm, iteration=0)
+    out = tmp_path / "eval"
+    code, forks, printed = _evaluate_in_layout(trained_run, out, monkeypatch,
+                                               capfd, cpus, ckpts)
+    assert code == 4
+    assert "numeric error: non-finite wealth after year t=0" in printed.err
+    assert forks == (cpus == 2 and hasattr(os, "fork"))
+    _assert_no_helper_left(out, [f for f in EVAL_FILES if f not in (
+        "outperformance.csv", "config_used.ini")])
 
 
 @pytest.mark.parametrize("command", ["evaluate", "demo-path"])
@@ -533,7 +682,7 @@ def test_evaluate_rejects_mismatched_normalization(trained_run, tmp_path,
 
 
 def test_evaluate_rejects_numbered_checkpoints_of_another_run(tmp_path,
-                                                             capsys):
+                                                             capfd):
     # Two runs into one --out: w0 = 500k (40 iterations, every 10), then
     # w0 = 300k (20, every 20). Checkpoints 10, 30 and 40 are left over
     # from the 500k run and must not be scored under the 300k config.
@@ -549,17 +698,17 @@ def test_evaluate_rejects_numbered_checkpoints_of_another_run(tmp_path,
     ckpts = out / "checkpoints"
     assert sorted(f.name for f in ckpts.glob("checkpoint_0*.npz")) == [
         f"checkpoint_{i:06d}.npz" for i in (0, 10, 20, 30, 40)]
-    capsys.readouterr()
+    capfd.readouterr()
     ev = tmp_path / "eval"
     assert run(["evaluate", "--config", second, "--checkpoint", ckpts,
                 "--m-test", 10, "--out", ev]) == 2
-    assert "checkpoint_000010.npz" in capsys.readouterr().err
+    assert "checkpoint_000010.npz" in capfd.readouterr().err
     assert not list(ev.glob("*.csv"))
 
 
 @pytest.mark.parametrize("kind,code", [("truncated", 3), ("not_zip", 3),
                                        ("missing", 5)])
-def test_evaluate_corrupt_checkpoint_exit_codes(trained_run, tmp_path, capsys,
+def test_evaluate_corrupt_checkpoint_exit_codes(trained_run, tmp_path, capfd,
                                                 kind, code):
     # A checkpoint that cannot be read is a data error; a missing one is
     # an i/o error.
@@ -572,14 +721,14 @@ def test_evaluate_corrupt_checkpoint_exit_codes(trained_run, tmp_path, capsys,
         bad.write_text("iter,objective\n1,0.5\n")
     assert run(["evaluate", "--config", cfgp, "--checkpoint", bad,
                 "--m-test", 10, "--out", tmp_path / "eval"]) == code
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     assert str(bad) in err
     if kind == "not_zip":
         assert f"{bad}: not a checkpoint archive" in err
 
 
 def test_evaluate_checkpoint_missing_a_weight_array_is_data_error(
-        trained_run, tmp_path, capsys):
+        trained_run, tmp_path, capfd):
     cfgp, run_dir = trained_run
     with np.load(run_dir / "checkpoints" / "checkpoint_final.npz") as data:
         arrays = {k: data[k] for k in data.files if k != "w2"}
@@ -587,7 +736,7 @@ def test_evaluate_checkpoint_missing_a_weight_array_is_data_error(
     np.savez(bad, **arrays)
     assert run(["evaluate", "--config", cfgp, "--checkpoint", bad,
                 "--m-test", 10, "--out", tmp_path / "eval"]) == 3
-    assert f"{bad}: unreadable checkpoint" in capsys.readouterr().err
+    assert f"{bad}: unreadable checkpoint" in capfd.readouterr().err
     assert not (tmp_path / "eval").exists()
 
 

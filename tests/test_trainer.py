@@ -15,6 +15,7 @@ import pytest
 
 from conftest import map_params, perturb
 from oracles import lifetime_utility_oracle, straight_line_objective
+from superdraw import trainer
 from superdraw.account import AccountParams, PensionParams, age_pension
 from superdraw.errors import ConfigError, NumericError
 from superdraw.mortality import load_life_table, survival_curve
@@ -175,6 +176,36 @@ def test_engine_is_bit_identical_across_input_layouts():
                                  panel, curve, cfg, record=True)
     assert results[0][0] == pytest.approx(whole[idx], rel=1e-12)
     assert results[0][2] == pytest.approx(rec.wealth[idx], rel=1e-12)
+
+
+def test_evaluation_blocks_match_one_pass_bit_for_bit(monkeypatch):
+    # Without `kept` the network may run over blocks of paths (of at most
+    # 512): 1,500 paths make two full blocks and a partial one. Each path's
+    # fraction, and so its consumption, must be bit for bit that of one
+    # pass over all 1,500, so that evaluation outputs do not depend on it.
+    cfg = small_config(horizon=41)
+    params = he_init(seed=4)
+    w = {n: getattr(params, n) for n in PARAM_FIELDS}
+    rng = np.random.default_rng(12)
+    M = 1500
+    W, A = rng.uniform(0.0, 2e6, M), rng.uniform(0.0, 3e4, M)
+    R, Q = rng.normal(0.05, 0.1, M), np.exp(rng.normal(0.5, 0.3, M))
+    real, fracs = trainer.policy_fraction, []
+
+    def kept_fraction(w, x):
+        frac, layers = real(w, x)
+        fracs.append(frac)
+        return frac, layers
+
+    monkeypatch.setattr(trainer, "policy_fraction", kept_fraction)
+    consume = network_consumer(params, cfg.norm())
+    for t in (0, 40):
+        fracs.clear()
+        C = consume(t, W, A, R, Q)
+        want, _ = real(w, normalized_inputs(np.full(M, float(t)), W, R, Q,
+                                            cfg.norm()))
+        assert np.concatenate(fracs).tobytes() == want.tobytes()
+        assert C.tobytes() == ((W + A) * want).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -506,7 +537,6 @@ def test_divergent_panel_raises(tmp_path):
 
 def test_nonfinite_gradient_takes_the_abort_path(tmp_path, monkeypatch):
     # Iteration 2 gets a NaN gradient while its objective stays finite.
-    from superdraw import trainer
     real = trainer._sweep
     calls = []
 

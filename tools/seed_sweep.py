@@ -13,8 +13,8 @@ seed: the first checkpoint whose policy beats every baseline on at least
 does), the first that beats every baseline on every held-out path (the
 same function at a share of 1), then the minimum over the six baselines
 of the paths the policy beats, every 100 iterations, and last the lowest
-such count at any checkpoint after the first one above half the held-out
-paths ("-" if none is): a collapse shows there.
+such count at any checkpoint from the first one at 99% on ("-" if none
+reaches 99%): a collapse after the target shows there.
 
 `--src` names the source tree whose `superdraw` runs (default: this
 checkout's `src/`), so the same sweep scores another checkout, for
@@ -51,6 +51,11 @@ def write_config(path: Path, seed: int, iterations: int) -> Path:
     with open(path, "w") as fh:
         cp.write(fh)
     return path
+
+
+def _cell(iteration) -> str:
+    """An iteration as printed; "-" where there is none."""
+    return "-" if iteration is None else str(iteration)
 
 
 def run_cli(main, argv) -> None:
@@ -92,24 +97,21 @@ def main(argv=None) -> int:
     print(f"superdraw from {args.src}; held-out seed {args.test_seed}, "
           f"{m_test} paths; target {math.ceil(share * m_test)} wins")
     print("seed  99% at  100% at  min wins at "
-          + " ".join(f"{it:>6d}" for it in shown) + "  after 50%", flush=True)
+          + " ".join(f"{it:>6d}" for it in shown) + "  from 99%", flush=True)
     with tempfile.TemporaryDirectory(prefix="seed_sweep_") as tmp:
         for seed in range(1, args.seeds + 1):
             csv_path = sweep_seed(superdraw_main, seed, Path(tmp),
                                   args.iterations, args.test_seed)
             wins = {it: min(counts.values()) for it, counts in
                     checks.read_outperformance(csv_path).items()}
-            first = checks.target_iteration(csv_path, m_test, share) or "-"
-            every = checks.target_iteration(csv_path, m_test, 1.0) or "-"
+            first = checks.target_iteration(csv_path, m_test, share)
+            every = checks.target_iteration(csv_path, m_test, 1.0)
             cells = " ".join(f"{wins[it]:>6d}" if it in wins else f"{'-':>6}"
                              for it in shown)
-            its = sorted(wins)
-            above = next((k for k, it in enumerate(its)
-                          if wins[it] > m_test // 2), None)
-            low = "-" if above is None else min(wins[it]
-                                                for it in its[above:])
-            print(f"{seed:>4}  {first:>6}  {every:>7}  {'':12}{cells}  "
-                  f"{low:>8}", flush=True)
+            low = "-" if first is None else min(
+                n for it, n in wins.items() if it >= first)
+            print(f"{seed:>4}  {_cell(first):>6}  {_cell(every):>7}  "
+                  f"{'':12}{cells}  {low:>8}", flush=True)
     return 0
 
 
