@@ -8,7 +8,11 @@ freshly computed values within the year, in the fixed order
 q -> S -> e -> n -> b -> o -> h.
 
 The seven conditional-mean equations are written once, in the `_MEANS`
-table; `simulate` also writes the compound inflation deflator Q.
+table; `simulate` also writes the compound inflation deflator Q. It runs
+the paths in blocks of `SIM_BLOCK`: a block draws its paths' shocks, runs
+the cascade year-major on (T + 1, block) rows and fills its rows of the
+panel's path-major (M, T + 1) columns. Its working memory is the panel plus
+one block, and the block size never changes a bit of the panel.
 
 The module covers three jobs: simulating the model with one
 counter-based random stream per path, refitting the coefficients from an
@@ -50,6 +54,9 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 # Largest panel `simulate` builds, in cells of its nine (M, T + 1) columns.
 _MAX_CELLS = 200_000_000
+# Paths per block of `simulate`. The block size sets the working memory
+# beside the panel, never a bit of it.
+SIM_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -236,8 +243,10 @@ def portfolio_return(state: EconState, omega: float) -> float:
     return omega * growth + (1.0 - omega) * defensive
 
 
-def _path_shocks(params: EsgParams, seed: int, M: int, T: int) -> np.ndarray:
-    """Scaled shocks of paths 0..M-1, shape (M, T, 7), in cascade order.
+def _path_shocks(params: EsgParams, seed: int, paths: range,
+                 T: int) -> np.ndarray:
+    """Scaled shocks of the given paths, shape (len(paths), T, 7), in
+    cascade order.
 
     Path m is the Philox stream keyed [seed, m] from counter 0. Philox is
     counter-based, so one bit generator whose key and counter are reset
@@ -247,11 +256,11 @@ def _path_shocks(params: EsgParams, seed: int, M: int, T: int) -> np.ndarray:
     gen = np.random.Generator(bits)
     state = bits.state                 # counter 0, empty output buffer
     key = state["state"]["key"]
-    eps = np.empty((M, T, 7))
-    for m in range(M):
+    eps = np.empty((len(paths), T, 7))
+    for m, out in zip(paths, eps):
         key[1] = m
         bits.state = state
-        gen.standard_normal(out=eps[m])
+        gen.standard_normal(out=out)
     eps *= np.array([params.sigma_q, params.sigma_S, params.sigma_e,
                      params.sigma_n, params.sigma_b, params.sigma_o,
                      params.sigma_h])
@@ -264,36 +273,42 @@ def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
 
     Path m's shocks are the Philox stream keyed [seed, m] from counter 0,
     drawn as T rows of seven standard normals (q, S, e, n, b, o, h) and
-    scaled by the sigmas; a path is the same in a panel of any size M.
+    scaled by the sigmas; a path is the same in a panel of any size M and
+    whatever `SIM_BLOCK` is. A non-finite R or Q is a NumericError.
     """
     if M < 1 or T < 1:
         raise ConfigError("M and T must be at least 1")
     if M * (T + 1) * 9 > _MAX_CELLS:
         raise ConfigError(f"panel of {M}x{T + 1} exceeds the cell budget "
                           f"({_MAX_CELLS})")
-    eps = _path_shocks(params, seed, M, T)
-
-    cols = {k: np.empty((M, T + 1)) for k in _FACTORS}
-    for k in _FACTORS:
-        cols[k][:, 0] = getattr(initial, k)
-    if not all(np.isfinite(cols[k][:, 0]).all() for k in _FACTORS):
+    if not all(np.isfinite(getattr(initial, k)).all() for k in _FACTORS):
         raise NumericError("non-finite initial state")
-    for t in range(1, T + 1):
-        year = _cascade(params, {k: cols[k][:, t - 1] for k in _FACTORS},
-                        eps[:, t - 1, :].T)
-        for k in _FACTORS:
-            cols[k][:, t] = year[k]
 
-    state = EconState(**cols)
-    R = portfolio_return(state, omega)
-    R[:, 0] = 0.0
-    Q = np.ones((M, T + 1))
-    Q[:, 1:] = np.exp(np.cumsum(cols["q"][:, 1:], axis=1))
-    if not np.all(np.isfinite(R)):
-        raise NumericError("non-finite values in simulated panel")
-    return ScenarioPanel(M=M, T=T, q=cols["q"], s=state.s, e=cols["e"],
-                         n=cols["n"], b=cols["b"], o=cols["o"], h=cols["h"],
-                         R=R, Q=Q)
+    cols = {k: np.empty((M, T + 1)) for k in _PANEL_COLUMNS}
+    with np.errstate(all="ignore"):
+        for m0 in range(0, M, SIM_BLOCK):
+            m1 = min(m0 + SIM_BLOCK, M)
+            eps = _path_shocks(params, seed, range(m0, m1), T)
+            rows = {k: np.empty((T + 1, m1 - m0)) for k in _FACTORS}
+            for k in _FACTORS:
+                rows[k][0] = getattr(initial, k)
+            for t in range(1, T + 1):
+                year = _cascade(params, {k: rows[k][t - 1] for k in _FACTORS},
+                                eps[:, t - 1].T)
+                for k in _FACTORS:
+                    rows[k][t] = year[k]
+            state = EconState(**rows)
+            R = portfolio_return(state, omega)
+            R[0] = 0.0
+            Q = np.ones((T + 1, m1 - m0))
+            Q[1:] = np.exp(np.cumsum(rows["q"][1:], axis=0))
+            for name, col in (("R", R), ("Q", Q)):
+                if not np.isfinite(col).all():
+                    raise NumericError(f"non-finite {name} in simulated panel")
+            rows.update(s=state.s, R=R, Q=Q)
+            for k in _PANEL_COLUMNS:
+                cols[k][m0:m1] = rows[k].T
+    return ScenarioPanel(M=M, T=T, **cols)
 
 
 # -------------------------------------------------------------- calibration

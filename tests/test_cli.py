@@ -293,6 +293,28 @@ def test_train_nonfinite_wealth_from_esg_coefficients(tmp_path, capsys):
         "step_size,depleted"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "train", "evaluate"])
+def test_overflowing_deflator_exits_4_before_any_output(tmp_path, capsys,
+                                                        command):
+    # Mean inflation of 30 a year passes the config checks, but over the
+    # default 41-year horizon the deflator Q = exp(q_1 + ... + q_t) passes
+    # float range in year 24; R stays finite.
+    train = "[train]\nm_train = 16\niterations = 0\nbatch_size = 8\n" \
+            "seed = 5\nlog_every = 1\n"
+    argv = [command, "--out", tmp_path / "out", "--config",
+            write_config(tmp_path / "cfg.ini", train + "[esg]\nmu_q = 30\n")]
+    if command == "evaluate":
+        ckpt = tmp_path / "run"
+        assert run(["train", "--config", write_config(
+            tmp_path / "base.ini", train), "--out", ckpt]) == 0
+        argv += ["--checkpoint", ckpt / "checkpoints", "--m-test", 40]
+    assert run(argv) == 4
+    assert "numeric error: non-finite Q in simulated panel" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("rho, code", [(21, 2), (20, 2), (5, 0)])
 def test_train_rejects_a_non_finite_utility_floor(tmp_path, capsys, rho,
                                                   code):

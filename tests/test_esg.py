@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from superdraw.errors import ConfigError, DataError, NumericError
 from superdraw.esg import DEFAULT_PARAMS, EconState, EsgParams
 
 FACTORS = ("q", "S", "e", "n", "b", "o", "h")
+_PANEL_COLS = ("q", "s", "e", "n", "b", "o", "h", "R", "Q")
 
 
 def quiet(params=DEFAULT_PARAMS, **sigmas):
@@ -65,7 +67,7 @@ def test_step_cascade_uses_fresh_values():
     p = quiet(sigma_e=DEFAULT_PARAMS.sigma_e)
     prev = stationary_state(DEFAULT_PARAMS)
     shocked = one_year(p, prev, seed=5)
-    eps_e = esg._path_shocks(p, 5, 1, 1)[0, 0, 2]
+    eps_e = esg._path_shocks(p, 5, range(1), 1)[0, 0, 2]
     assert abs(eps_e) > 1e-3
     assert shocked.e[0] == pytest.approx(prev.e + eps_e)
     assert shocked.n[0] == pytest.approx(
@@ -141,10 +143,11 @@ def test_simulate_per_path_streams_are_order_independent():
 @pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
 @pytest.mark.parametrize("T", [1, 41])
 def test_simulate_shocks_match_per_path_philox(seed, T):
-    # One rewound generator per panel draws what a fresh Philox keyed
-    # [seed, m] draws for each path, bit for bit, at every panel size.
-    panels = {M: esg._path_shocks(DEFAULT_PARAMS, seed, M, T)
-              for M in (1, 7, 300)}
+    # One rewound generator per draw gives what a fresh Philox keyed
+    # [seed, m] draws for each path, bit for bit, at every panel size and
+    # for a block of paths that does not start at path 0.
+    panels = {M: esg._path_shocks(DEFAULT_PARAMS, seed, range(M), T)
+              for M in (1, 7, 300, 1031)}
     for M, eps in panels.items():
         assert eps.shape == (M, T, 7)
         want = np.stack([path_shocks_oracle(DEFAULT_PARAMS, seed, m, T)
@@ -152,27 +155,66 @@ def test_simulate_shocks_match_per_path_philox(seed, T):
         assert eps.tobytes() == want.tobytes()
     assert panels[1].tobytes() == panels[300][:1].tobytes()
     assert panels[7].tobytes() == panels[300][:7].tobytes()
+    block = esg._path_shocks(DEFAULT_PARAMS, seed, range(1024, 1031), T)
+    assert block.tobytes() == panels[1031][1024:].tobytes()
 
 
-def test_simulate_matches_esg_year_oracle():
+def test_simulate_matches_esg_year_oracle(monkeypatch):
     # Every factor, s, R and Q of the panel against the equations written
-    # out year by year, fed the panel's own scaled shocks.
+    # out year by year, fed the panel's own scaled shocks. 1,031 paths are
+    # two whole blocks of 512 and a part block of 7; blocks of 3 paths
+    # leave 2 in the last. A path is the same bits whatever the block size,
+    # and path 0 the same as in a one-path panel.
     init = stationary_state(DEFAULT_PARAMS)
-    M, T, seed = 5, 6, 11
-    panel = esg.simulate(DEFAULT_PARAMS, init, M=M, T=T, seed=seed)
-    eps = esg._path_shocks(DEFAULT_PARAMS, seed, M, T)
-    for m in range(M):
-        state = {k: getattr(init, k) for k in FACTORS}
-        Q = 1.0
-        for t in range(1, T + 1):
-            state = esg_year_oracle(DEFAULT_PARAMS, state, eps[m, t - 1])
-            Q *= np.exp(state["q"])
-            for k in ("q", "e", "n", "b", "o", "h", "s", "R"):
-                assert getattr(panel, k)[m, t] == pytest.approx(
-                    state[k], abs=1e-14), (m, t, k)
-            assert panel.s[m, t] - panel.q[m, t] == pytest.approx(
-                state["S"], abs=1e-14)
-            assert panel.Q[m, t] == pytest.approx(Q, abs=1e-14)
+    T, seed = 6, 11
+    one = esg.simulate(DEFAULT_PARAMS, init, M=1, T=T, seed=seed)
+    for M, block in ((5, esg.SIM_BLOCK), (1031, esg.SIM_BLOCK), (1031, 3)):
+        with monkeypatch.context() as mp:
+            mp.setattr(esg, "SIM_BLOCK", M)
+            whole = esg.simulate(DEFAULT_PARAMS, init, M=M, T=T, seed=seed)
+            mp.setattr(esg, "SIM_BLOCK", block)
+            panel = esg.simulate(DEFAULT_PARAMS, init, M=M, T=T, seed=seed)
+        for k in _PANEL_COLS:
+            assert getattr(panel, k).tobytes() == getattr(whole, k).tobytes()
+            assert getattr(panel, k)[:1].tobytes() == getattr(one, k).tobytes()
+        eps = esg._path_shocks(DEFAULT_PARAMS, seed, range(M), T)
+        for m in range(M):
+            state = {k: getattr(init, k) for k in FACTORS}
+            Q = 1.0
+            for t in range(1, T + 1):
+                state = esg_year_oracle(DEFAULT_PARAMS, state, eps[m, t - 1])
+                Q *= np.exp(state["q"])
+                for k in ("q", "e", "n", "b", "o", "h", "s", "R"):
+                    assert getattr(panel, k)[m, t] == pytest.approx(
+                        state[k], abs=1e-14), (M, block, m, t, k)
+                assert panel.s[m, t] - panel.q[m, t] == pytest.approx(
+                    state["S"], abs=1e-14)
+                assert panel.Q[m, t] == pytest.approx(Q, abs=1e-14)
+
+
+def test_simulate_holds_the_panel_and_one_block():
+    # Beside its nine columns, a 10,000-path panel is built with one
+    # block's shocks and rows; the whole (M, T, 7) shock array alone would
+    # be 0.78 of the panel.
+    init = stationary_state(DEFAULT_PARAMS)
+    tracemalloc.start()
+    try:
+        panel = esg.simulate(DEFAULT_PARAMS, init, M=10_000, T=41, seed=777)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * sum(getattr(panel, k).nbytes for k in _PANEL_COLS)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_rejects_a_deflator_past_float_range():
+    # With mean inflation 30 a year, Q = exp(q_1 + ... + q_t) overflows in
+    # year 24 while every factor and R stay finite.
+    p = dataclasses.replace(DEFAULT_PARAMS, mu_q=30.0)
+    init = stationary_state(DEFAULT_PARAMS)
+    assert np.isfinite(esg.simulate(p, init, M=3, T=23, seed=1).Q).all()
+    with pytest.raises(NumericError, match="non-finite Q"):
+        esg.simulate(p, init, M=3, T=24, seed=1)
 
 
 def test_simulate_zero_shock_paths_are_constant():
@@ -359,7 +401,7 @@ def test_residuals_recover_simulated_shocks():
     panel = esg.simulate(DEFAULT_PARAMS, init, M=1, T=T, seed=seed)
     _, res = esg.residual_diagnostics(history_from_panel(panel),
                                       DEFAULT_PARAMS)
-    shocks = esg._path_shocks(DEFAULT_PARAMS, seed, 1, T)[0, 1:]
+    shocks = esg._path_shocks(DEFAULT_PARAMS, seed, range(1), T)[0, 1:]
     for i, k in enumerate(("q", "S", "e", "n", "b", "o", "h")):
         assert np.max(np.abs(res[k] - shocks[:, i])) < 1e-12, k
 
@@ -404,9 +446,6 @@ def test_panel_csv_export(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
     assert float(first[-1]) == 1.0
-
-
-_PANEL_COLS = ("q", "s", "e", "n", "b", "o", "h", "R", "Q")
 
 
 def _panel_csv_oracle(panel, path):

@@ -13,14 +13,23 @@ The JSON file (written to the change checkout unless `--out` is given) holds
 every run's result line, and for each end-to-end metric of BENCHMARK.json
 each side's median and quartiles over its successful runs, the change's
 wins and losses over the pairs (ties, and pairs where either side failed,
-count for neither), each side's failed runs, and whether a gain could be
-claimed: wins in at least nine tenths of all pairs run, no more failed
-runs than the parent, and a median better by more than the parent's
-interquartile range. It also records `nproc`, the Python and NumPy
-versions and both checkouts' git revisions; for a checkout whose tracked
-files differ from HEAD, also the sha256 of `git diff --binary HEAD` over
-all files but Markdown documents and the BENCH_*.json outputs, which names
-the tree measured.
+count for neither), each side's failed runs, and three marks, each also
+printed beside the metric's summary line:
+- `gain_claimable` (printed `claimable`): wins in at least nine tenths of
+  all pairs run, no more failed runs than the parent, and a median better
+  by more than the parent's interquartile range;
+- `worse_than_bound` (`worse than bound`): the change's median is worse
+  than the parent's by more than the metric's relative bound;
+- `unresolved`: the parent's interquartile range is wider than the bound,
+  so these runs cannot tell a change of the bound's size from noise,
+  unless every run of the change reads better than every run of the
+  parent.
+After the pairs, one traced run (`--trace 1`) in each checkout records
+the per-layer metrics under `traced`. The file also records `nproc`, the
+Python and NumPy versions and both checkouts' git revisions; for a
+checkout whose tracked files differ from HEAD, also the sha256 of
+`git diff --binary HEAD` over all files but Markdown documents and the
+BENCH_*.json outputs, which names the tree measured.
 """
 
 from __future__ import annotations
@@ -71,11 +80,13 @@ def bench_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def run_once(path: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(path: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One `bench/run.py` run; its JSON result, or the failure."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=path, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -123,6 +134,10 @@ def summarise(pairs: list, metric_defs: list) -> dict:
         wins = sum((b < a) if lower else (b > a) for a, b in both)
         losses = sum((b > a) if lower else (b < a) for a, b in both)
         gain = (parent["median"] - change["median"]) * (1 if lower else -1)
+        apart = max(sides["change"]) < min(sides["parent"]) if lower \
+            else min(sides["change"]) > max(sides["parent"])
+        bound = None if m.get("bound") is None \
+            else m["bound"] * abs(parent["median"])
         out[name] = {
             "unit": m.get("unit"), "better": m["better"],
             "bound": m.get("bound"), "parent": parent, "change": change,
@@ -130,13 +145,19 @@ def summarise(pairs: list, metric_defs: list) -> dict:
             "failed": failures,
             "relative_change": (change["median"] - parent["median"])
             / parent["median"] if parent["median"] else None,
-            "worse_than_bound": m.get("bound") is not None and -gain
-            > m["bound"] * abs(parent["median"]),
+            "worse_than_bound": bound is not None and -gain > bound,
             "gain_claimable": wins >= 0.9 * len(pairs)
             and failures["change"] <= failures["parent"]
             and gain > parent["iqr"],
+            "unresolved": bound is not None and parent["iqr"] > bound
+            and not apart,
         }
     return out
+
+
+MARKS = (("gain_claimable", "claimable"),
+         ("worse_than_bound", "worse than bound"),
+         ("unresolved", "unresolved"))
 
 
 def main(argv=None) -> int:
@@ -178,6 +199,10 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}/{args.pairs}: command_s parent {cmd['parent']} "
               f"change {cmd['change']}", flush=True)
 
+    traced = {side: run_once(getattr(args, side), args.workload, args.seed,
+                             args.seconds, trace=1)
+              for side in ("parent", "change")}
+
     failed = [f"pair {i + 1} {s}" for i, p in enumerate(pairs)
               for s in ("parent", "change") if not ok(p[s])]
     doc = {
@@ -190,6 +215,7 @@ def main(argv=None) -> int:
         **revisions,
         "bench_sha256": digests["change"], "failed_runs": failed,
         "metrics": summarise(pairs, metric_defs),
+        "traced": traced,
         "runs": pairs,
     }
     out = (args.out or args.change) / f"BENCH_{args.workload}.json"
@@ -197,11 +223,13 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     for name, m in doc["metrics"].items():
+        marks = [label for key, label in MARKS if m[key]]
         print(f"{name}: parent {m['parent']['median']:.6g} "
               f"[{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}]  "
               f"change {m['change']['median']:.6g} "
               f"[{m['change']['q1']:.6g}, {m['change']['q3']:.6g}]  "
-              f"wins {m['wins']}/{m['pairs']}")
+              f"wins {m['wins']}/{m['pairs']}"
+              + "".join(f"  {label}" for label in marks))
     print(f"wrote {out}")
     return 1 if failed else 0
 
