@@ -178,7 +178,7 @@ def cmd_simulate(args) -> int:
                              params_file=args.params)
     m = 1_000 if args.m is None else args.m
     T = cfg.horizon if args.t is None else args.t
-    panel = cfg.panel(m, cfg.seed, T)       # checked before any write
+    panel = cfg.panel(m, cfg.seed, T, factors=True)  # checked before writes
     out = _out_dir(args)
     esg_mod.panel_to_csv(panel, out / "panel.csv")
     _echo_config(cfg, out, {"command": "simulate", "m": m, "t": T})
@@ -301,7 +301,7 @@ def cmd_demo_path(args) -> int:
     cfg = build_train_config(cp)
     seed = args.seed if args.seed is not None else cfg.seed + 2_000
     params, _ = _load_policy(args.checkpoint, cfg)
-    panel = cfg.panel(1, seed)
+    panel = cfg.panel(1, seed, factors=True)
     totals, rec = evaluate_policy(params, panel, cfg.curve(), cfg,
                                   record=True)
     out = _out_dir(args)

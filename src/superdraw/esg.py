@@ -8,11 +8,14 @@ freshly computed values within the year, in the fixed order
 q -> S -> e -> n -> b -> o -> h.
 
 The seven conditional-mean equations are written once, in the `_MEANS`
-table; `simulate` also writes the compound inflation deflator Q. It runs
-the paths in blocks of `SIM_BLOCK`: a block draws its paths' shocks, runs
-the cascade year-major on (T + 1, block) rows and fills its rows of the
-panel's path-major (M, T + 1) columns. Its working memory is the panel plus
-one block, and the block size never changes a bit of the panel.
+table; `simulate` also writes the balanced-portfolio return R and the
+compound inflation deflator Q. The retiree sees the economy only through R
+and Q, so a panel keeps the seven factor columns only when asked to. It
+runs the paths in blocks of `SIM_BLOCK`: a block draws its paths' shocks,
+runs the whole cascade year-major on (T + 1, block) rows and fills its rows
+of the panel's path-major (M, T + 1) columns. Its working memory is the
+columns it keeps plus one block, and neither the block size nor the
+columns kept change a bit of the panel.
 
 The module covers three jobs: simulating the model with one
 counter-based random stream per path, refitting the coefficients from an
@@ -22,7 +25,7 @@ for the fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +55,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# Largest panel `simulate` builds, in cells of its nine (M, T + 1) columns.
+# Largest panel `simulate` builds, in cells of nine (M, T + 1) columns
+# whether or not it keeps the seven factor columns.
 _MAX_CELLS = 200_000_000
 # Paths per block of `simulate`. The block size sets the working memory
 # beside the panel, never a bit of it.
@@ -159,7 +163,8 @@ class HistoricalSeries:
         return len(self.year)
 
 
-_PANEL_COLUMNS = ("q", "s", "e", "n", "b", "o", "h", "R", "Q")
+_FACTOR_COLUMNS = ("q", "s", "e", "n", "b", "o", "h")
+_PANEL_COLUMNS = _FACTOR_COLUMNS + ("R", "Q")
 
 
 @dataclass
@@ -169,34 +174,52 @@ class ScenarioPanel:
     Column t = 0 holds the initial state; R[:, 0] = 0 (no realized prior-year
     return) and Q[:, 0] = 1. For t >= 1, R[:, t] is the portfolio return
     earned over year t-1 -> t and Q[:, t] = exp(sum of q over years 1..t).
+
+    R and Q are always held. The seven factor columns q, s, e, n, b, o and h
+    are held in `factors`, by name, only when they were asked for (see
+    `simulate`); each present one reads as an attribute, and reading an
+    absent one raises AttributeError.
     """
 
     M: int
     T: int
-    q: np.ndarray
-    s: np.ndarray
-    e: np.ndarray
-    n: np.ndarray
-    b: np.ndarray
-    o: np.ndarray
-    h: np.ndarray
     R: np.ndarray
     Q: np.ndarray
+    factors: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        unknown = self.factors.keys() - _FACTOR_COLUMNS
+        if unknown:
+            raise DataError(f"unknown panel column(s) {sorted(unknown)}")
         want = (self.M, self.T + 1)
-        for name in _PANEL_COLUMNS:
-            if getattr(self, name).shape != want:
+        for name, col in (("R", self.R), ("Q", self.Q),
+                          *self.factors.items()):
+            if col.shape != want:
                 raise DataError(f"panel column {name} has shape "
-                                f"{getattr(self, name).shape}, expected {want}")
+                                f"{col.shape}, expected {want}")
         if np.any(self.Q[:, 0] != 1.0) or np.any(self.Q <= 0):
             raise DataError("deflator must start at 1 and stay positive")
 
+    def __getattr__(self, name):
+        # Reached only for names that are not attributes: the factor columns.
+        if name in _FACTOR_COLUMNS:
+            try:
+                return self.factors[name]
+            except KeyError:
+                raise AttributeError(
+                    f"panel column {name} was not simulated: this panel "
+                    "holds only R and Q (simulate with factors=True)"
+                ) from None
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
     def take(self, idx) -> "ScenarioPanel":
-        """Sub-panel restricted to the given path indices."""
+        """Sub-panel of the given path indices, with the same columns."""
         idx = np.asarray(idx)
-        cols = {n: getattr(self, n)[idx] for n in _PANEL_COLUMNS}
-        return ScenarioPanel(M=len(idx), T=self.T, **cols)
+        return ScenarioPanel(M=len(idx), T=self.T, R=self.R[idx],
+                             Q=self.Q[idx],
+                             factors={k: c[idx]
+                                      for k, c in self.factors.items()})
 
 
 def bundled_history_path() -> Path:
@@ -268,13 +291,18 @@ def _path_shocks(params: EsgParams, seed: int, paths: range,
 
 
 def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
-             omega: float = 0.7) -> ScenarioPanel:
+             omega: float = 0.7, factors: bool = True) -> ScenarioPanel:
     """Simulate M paths over T years from the given initial state.
 
     Path m's shocks are the Philox stream keyed [seed, m] from counter 0,
     drawn as T rows of seven standard normals (q, S, e, n, b, o, h) and
     scaled by the sigmas; a path is the same in a panel of any size M and
     whatever `SIM_BLOCK` is. A non-finite R or Q is a NumericError.
+
+    The panel holds R, Q and, with `factors` (the default), the seven factor
+    columns. Without them it holds R and Q only: every factor is still
+    simulated, since R needs them, but not kept, and R and Q are the same to
+    the bit.
     """
     if M < 1 or T < 1:
         raise ConfigError("M and T must be at least 1")
@@ -284,7 +312,8 @@ def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
     if not all(np.isfinite(getattr(initial, k)).all() for k in _FACTORS):
         raise NumericError("non-finite initial state")
 
-    cols = {k: np.empty((M, T + 1)) for k in _PANEL_COLUMNS}
+    kept = _PANEL_COLUMNS if factors else ("R", "Q")
+    cols = {k: np.empty((M, T + 1)) for k in kept}
     with np.errstate(all="ignore"):
         for m0 in range(0, M, SIM_BLOCK):
             m1 = min(m0 + SIM_BLOCK, M)
@@ -306,9 +335,10 @@ def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
                 if not np.isfinite(col).all():
                     raise NumericError(f"non-finite {name} in simulated panel")
             rows.update(s=state.s, R=R, Q=Q)
-            for k in _PANEL_COLUMNS:
+            for k in kept:
                 cols[k][m0:m1] = rows[k].T
-    return ScenarioPanel(M=M, T=T, **cols)
+    return ScenarioPanel(M=M, T=T, R=cols.pop("R"), Q=cols.pop("Q"),
+                         factors=cols)
 
 
 # -------------------------------------------------------------- calibration
@@ -451,21 +481,24 @@ def load_params(path) -> EsgParams:
 def panel_to_csv(panel: ScenarioPanel, path) -> None:
     """Write the panel as CSV text, one row per path and year.
 
-    The header is `path,t,q,s,e,n,b,o,h,R,Q`; rows run over t = 0..T within
-    each path, paths in order. `path` and `t` are integers and every column
-    value is formatted as `%.10g`; lines end in CRLF, as `csv.writer`
-    writes them. With two or more paths, paths [M // 2, M) are the file's
-    `tail`: on a machine with two usable CPUs a forked helper formats them
-    while this process formats the first half, and the file is
-    byte-identical to one written by a single process.
+    The header is `path,t,q,s,e,n,b,o,h,R,Q`, so the panel must hold the
+    factor columns; one of R and Q only raises AttributeError before the
+    file is created. Rows run over t = 0..T within each path, paths in
+    order. `path` and `t` are integers and every column value is formatted
+    as `%.10g`; lines end in CRLF, as `csv.writer` writes them. With two
+    or more paths, paths [M // 2, M) are the file's `tail`: on a machine
+    with two usable CPUs a forked helper formats them while this process
+    formats the first half, and the file is byte-identical to one written
+    by a single process.
     """
+    columns = [getattr(panel, c) for c in _PANEL_COLUMNS]
     years = np.arange(panel.T + 1)
     step = max(1, BLOCK_ROWS // (panel.T + 1))
 
     def blocks(m_start, m_stop):
         for m0 in range(m_start, m_stop, step):
             m1 = min(m0 + step, m_stop)
-            cols = [getattr(panel, c)[m0:m1] for c in _PANEL_COLUMNS]
+            cols = [c[m0:m1] for c in columns]
             yield np.stack([*np.broadcast_arrays(np.arange(m0, m1)[:, None],
                                                  years), *cols],
                            axis=-1).reshape(-1, 2 + len(cols))

@@ -149,11 +149,16 @@ class TrainConfig:
         history = esg_mod.load_history(esg_mod.bundled_history_path())
         return esg_mod.initial_state_from_history(history)
 
-    def panel(self, M: int, seed: int, T: int | None = None) -> ScenarioPanel:
-        """M scenario paths over T years (default: the horizon)."""
+    def panel(self, M: int, seed: int, T: int | None = None,
+              factors: bool = False) -> ScenarioPanel:
+        """M scenario paths over T years (default: the horizon).
+
+        The retiree sees the economy only through R and Q, so the panel
+        holds those two columns unless `factors` asks for all nine.
+        """
         return esg_mod.simulate(self.esg, self.initial_econ_state(), M,
                                 self.horizon if T is None else T, seed=seed,
-                                omega=self.account.omega)
+                                omega=self.account.omega, factors=factors)
 
     def training_panel(self) -> ScenarioPanel:
         return self.panel(self.m_train, self.seed)

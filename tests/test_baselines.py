@@ -17,8 +17,9 @@ from test_trainer import small_config, synthetic_panel
 def flat_panel(M, T):
     """Zero returns, zero inflation."""
     cols = {n: np.zeros((M, T + 1))
-            for n in ("q", "s", "e", "n", "b", "o", "h", "R")}
-    return ScenarioPanel(M=M, T=T, Q=np.ones((M, T + 1)), **cols)
+            for n in ("q", "s", "e", "n", "b", "o", "h")}
+    return ScenarioPanel(M=M, T=T, R=np.zeros((M, T + 1)),
+                         Q=np.ones((M, T + 1)), factors=cols)
 
 # ----------------------------------------------------------------- the rules
 

@@ -1,6 +1,8 @@
-"""The claim marks of `tools/bench_pairs.py` on hand-made pairs."""
+"""The claim marks of `tools/bench_pairs.py` on hand-made pairs, and its
+argument checks."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,49 @@ def marks(parent, change):
 ])
 def test_marks(parent, change, want):
     assert marks(parent, change) == want
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """The (path, workload) of each benchmark run, none of them started."""
+    calls = []
+
+    def fake_run(path, workload, seed, seconds, trace=0):
+        calls.append((path, workload))
+        return {"exit_code": 0, "correct": True,
+                "metrics": {"command_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    return calls
+
+
+def pairs_main(*args):
+    return bench_pairs.main(["--parent", str(ROOT), "--change", str(ROOT),
+                             "--pairs", "2", *map(str, args)])
+
+
+@pytest.mark.parametrize("workload, out, message", [
+    ("desk-training", None, "--workload 'desk-training' is not one of "
+     "desk-train, held-out-eval, scenario-export"),
+    ("held-out-eval", "missing", "is not an existing directory"),
+    ("held-out-eval", "a-file", "is not an existing directory"),
+])
+def test_bad_arguments_exit_2_before_any_run(runs, capsys, tmp_path,
+                                             workload, out, message):
+    (tmp_path / "a-file").write_text("")
+    out_args = [] if out is None else ["--out", tmp_path / out]
+    with pytest.raises(SystemExit) as exc:
+        pairs_main("--workload", workload, *out_args)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert runs == []
+
+
+def test_pairs_write_their_summary_to_out(runs, tmp_path):
+    assert pairs_main("--workload", "held-out-eval", "--out", tmp_path) == 0
+    assert [w for _, w in runs] == ["held-out-eval"] * 6
+    doc = json.loads((tmp_path / "BENCH_held-out-eval.json").read_text())
+    assert doc["metrics"]["command_s"]["wins"] == 0

@@ -11,6 +11,7 @@ from oracles import esg_year_oracle, path_shocks_oracle, stationary_state
 from superdraw import _csvblock, esg
 from superdraw.errors import ConfigError, DataError, NumericError
 from superdraw.esg import DEFAULT_PARAMS, EconState, EsgParams
+from superdraw.trainer import TrainConfig
 
 FACTORS = ("q", "S", "e", "n", "b", "o", "h")
 _PANEL_COLS = ("q", "s", "e", "n", "b", "o", "h", "R", "Q")
@@ -193,17 +194,48 @@ def test_simulate_matches_esg_year_oracle(monkeypatch):
 
 
 def test_simulate_holds_the_panel_and_one_block():
-    # Beside its nine columns, a 10,000-path panel is built with one
-    # block's shocks and rows; the whole (M, T, 7) shock array alone would
-    # be 0.78 of the panel.
+    # Beside the columns it holds, a 10,000-path panel is built with one
+    # block's shocks and rows, within a quarter of the nine-column panel's
+    # bytes; the whole (M, T, 7) shock array alone would be 0.78 of that.
+    # A training or evaluation panel holds R and Q only.
     init = stationary_state(DEFAULT_PARAMS)
-    tracemalloc.start()
-    try:
-        panel = esg.simulate(DEFAULT_PARAMS, init, M=10_000, T=41, seed=777)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * sum(getattr(panel, k).nbytes for k in _PANEL_COLS)
+    for make, held in [
+            (lambda: esg.simulate(DEFAULT_PARAMS, init, M=10_000, T=41,
+                                  seed=777), _PANEL_COLS),
+            (lambda: TrainConfig().panel(10_000, 777), ("R", "Q"))]:
+        tracemalloc.start()
+        try:
+            panel = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {k for k in _PANEL_COLS if hasattr(panel, k)} == set(held)
+        assert peak < sum(getattr(panel, k).nbytes for k in held) \
+            + 0.25 * 9 * panel.R.nbytes
+
+
+@pytest.mark.parametrize("M", [1, 511, 512, 513, 10_000])
+def test_simulate_without_factors_keeps_r_and_q_bit_for_bit(M):
+    cfg = TrainConfig()
+    full, lean = cfg.panel(M, 777, factors=True), cfg.panel(M, 777)
+    assert lean.factors == {}
+    assert set(full.factors) == set(_PANEL_COLS[:7])
+    assert np.array_equal(lean.R, full.R)
+    assert np.array_equal(lean.Q, full.Q)
+
+
+def test_absent_factor_column_fails_loudly(tmp_path):
+    panel = TrainConfig().panel(3, 777)
+    for k in _PANEL_COLS[:7]:
+        with pytest.raises(AttributeError, match=f"column {k} was not "
+                           "simulated"):
+            getattr(panel, k)
+    with pytest.raises(AttributeError, match="no attribute 'x'"):
+        panel.x
+    out = tmp_path / "panel.csv"
+    with pytest.raises(AttributeError, match="not simulated"):
+        esg.panel_to_csv(panel, out)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -263,6 +295,23 @@ def test_panel_take():
     assert sub.M == 2
     assert np.array_equal(sub.e[0], panel.e[4])
     assert np.array_equal(sub.Q[1], panel.Q[1])
+    # A panel of R and Q only gives a sub-panel of R and Q only.
+    lean = esg.simulate(DEFAULT_PARAMS, init, M=6, T=4, seed=9,
+                        factors=False).take([4, 1])
+    assert (lean.M, lean.factors) == (2, {})
+    assert np.array_equal(lean.R, sub.R)
+    assert np.array_equal(lean.Q, sub.Q)
+
+
+def test_panel_checks_the_columns_present():
+    M, T = 3, 4
+    R, Q, col = np.zeros((M, T + 1)), np.ones((M, T + 1)), np.zeros((M, T))
+    with pytest.raises(DataError, match="column e has shape"):
+        esg.ScenarioPanel(M=M, T=T, R=R, Q=Q, factors={"e": col})
+    with pytest.raises(DataError, match="column Q has shape"):
+        esg.ScenarioPanel(M=M, T=T, R=R, Q=col)
+    with pytest.raises(DataError, match="unknown panel column"):
+        esg.ScenarioPanel(M=M, T=T, R=R, Q=Q, factors={"x": R})
 
 
 # ------------------------------------------------------------- calibration
@@ -498,7 +547,8 @@ def test_panel_csv_matches_csv_writer_bytes(tmp_path, monkeypatch, M, T,
         cols[c] = vals
     cols["Q"] = np.abs(cols["Q"]) + 1e-05
     cols["Q"][:, 0] = 1.0
-    panel = esg.ScenarioPanel(M=M, T=T, **cols)
+    panel = esg.ScenarioPanel(M=M, T=T, R=cols.pop("R"), Q=cols.pop("Q"),
+                              factors=cols)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     monkeypatch.setattr(_csvblock, "_usable_cpus", lambda: cpus)
     forks = _count_forks(monkeypatch)

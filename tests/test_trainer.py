@@ -43,8 +43,8 @@ def synthetic_panel(M, T, seed=0, r_scale=0.1, q_scale=0.02):
     Q = np.exp(np.cumsum(q, axis=1))
     Q[:, 0] = 1.0
     z = np.zeros((M, T + 1))
-    return ScenarioPanel(M=M, T=T, q=q, s=z, e=z, n=z, b=z, o=z, h=z,
-                         R=R, Q=Q)
+    return ScenarioPanel(M=M, T=T, R=R, Q=Q,
+                         factors=dict(q=q, s=z, e=z, n=z, b=z, o=z, h=z))
 
 
 def small_config(**kw):
@@ -119,6 +119,23 @@ def test_rollout_mean_equals_batch_objective():
     singles = [rollout(params, panel, m, cfg, curve=curve)[0]
                for m in range(panel.M)]
     assert float(obj.value) == pytest.approx(np.mean(singles), rel=1e-12)
+
+
+def test_rollout_reads_the_r_and_q_training_panel():
+    # The training panel holds R and Q only; a rollout of one of its paths,
+    # and of a sub-panel, matches the nine-column panel's to the bit.
+    cfg = small_config(horizon=6)
+    curve, params = cfg.curve(), he_init(seed=4)
+    lean = cfg.training_panel()
+    full = cfg.panel(cfg.m_train, cfg.seed, factors=True)
+    assert lean.factors == {}
+    for m in (0, 5, cfg.m_train - 1):
+        got = rollout(params, lean, m, cfg, curve=curve)[0]
+        assert got == rollout(params, full, m, cfg, curve=curve)[0]
+    sub = lean.take([5, 0])
+    assert sub.factors == {}
+    assert rollout(params, sub, 1, cfg, curve=curve)[0] == \
+        rollout(params, full, 0, cfg, curve=curve)[0]
 
 
 def test_depleted_path_stays_at_zero_wealth():

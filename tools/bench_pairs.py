@@ -3,6 +3,9 @@
     python3 tools/bench_pairs.py --parent ../parent-checkout --change . \
         --workload held-out-eval --pairs 10 --seconds 20 --seed 1
 
+`--workload` must name a workload of BENCHMARK.json and `--out`, if given,
+an existing directory; either mistake exits 2 before the first run.
+
 Each pair runs `bench/run.py` once in each checkout, with the same workload,
 seed and run length; odd pairs (the first, third, ...) start with the
 parent, even pairs with the change. `bench/` must be identical in both checkouts, so both sides are
@@ -175,15 +178,21 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    with open(args.change / "BENCHMARK.json") as fh:
+        benchmark = json.load(fh)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    if args.workload not in workloads:
+        ap.error(f"--workload {args.workload!r} is not one of "
+                 f"{', '.join(workloads)}")
+    if args.out is not None and not args.out.is_dir():
+        ap.error(f"--out {args.out} is not an existing directory")
     digests = {side: bench_digest(getattr(args, side))
                for side in ("parent", "change")}
     if digests["parent"] != digests["change"]:
         print("error: bench/ differs between the two checkouts",
               file=sys.stderr)
         return 2
-    with open(args.change / "BENCHMARK.json") as fh:
-        metric_defs = json.load(fh)["end_to_end"]
-
+    metric_defs = benchmark["end_to_end"]
     revisions = {side: revision(getattr(args, side))
                  for side in ("parent", "change")}
     pairs = []
