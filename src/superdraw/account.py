@@ -127,11 +127,13 @@ def transition_balance(W, A, C, fee, R, slope: bool = False):
     Shared by every rollout (learned policy, deterministic strategies, and
     oracles); accepts scalars or arrays. With `slope=True` returns (wealth,
     s), s being the derivative in W and A (and -s in C and fee): e^R above
-    the depletion floor, 0 on or below it.
+    the depletion floor, 0 on or below it. An R whose e^R passes float range
+    gives inf or NaN without a warning; the rollout checks the new wealth.
     """
-    growth = np.exp(R)
-    before = W + A - C - fee
-    value = np.maximum(before, 0.0) * growth
-    if not slope:
-        return value
-    return value, (before > 0) * growth
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.exp(R)
+        before = W + A - C - fee
+        value = np.maximum(before, 0.0) * growth
+        if not slope:
+            return value
+        return value, (before > 0) * growth

@@ -419,7 +419,8 @@ class AdamState:
 
 def adam_step(state: AdamState, params: MlpParams, grad: MlpParams,
               alpha: float) -> tuple[AdamState, MlpParams]:
-    """One bias-corrected update of step `alpha`; descends along `grad`."""
+    """One bias-corrected update of step `alpha`; descends along `grad`.
+    Raises NumericError if a moment is not finite."""
     k = state.k + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_m, new_v, new_p = {}, {}, {}
@@ -433,6 +434,11 @@ def adam_step(state: AdamState, params: MlpParams, grad: MlpParams,
         new_v[n] = v
         new_p[n] = getattr(params, n) - alpha * m_hat / (
             np.sqrt(v_hat) + ADAM_EPS)
+    # An infinite second moment would make every update 0, and the run
+    # would go on with frozen weights.
+    if not all(np.all(np.isfinite(x)) for x in (*new_m.values(),
+                                                *new_v.values())):
+        raise NumericError("non-finite Adam moment")
     next_state = AdamState(m=new_m, v=new_v, k=k)
     return next_state, MlpParams(**new_p)
 
@@ -535,20 +541,22 @@ def train(cfg: TrainConfig, panel: ScenarioPanel | None = None,
             idx = batch_rng.choice(cfg.m_train, size=cfg.batch_size,
                                    replace=False)
             R, Q = R[idx], Q[idx]
-        # Any non-finite wealth, objective, gradient or update ends the run
-        # with the last good weights on disk. MlpParams rejects non-finite
-        # entries, which covers the gradient and the Adam update.
+        # Any non-finite wealth, objective, gradient, Adam moment or update
+        # ends the run with the last good weights on disk. MlpParams rejects
+        # non-finite entries, which covers the gradient and the update. As
+        # each of these is checked, the step runs without overflow warnings.
         try:
-            obj, p, depleted = batch_objective(params, R, Q, curve, cfg)
-            value = float(obj.value)
-            if not np.isfinite(value):
-                raise NumericError("objective diverged")
-            t1 = time.perf_counter()
-            obj.backward()
-            t2 = time.perf_counter()
-            grads = MlpParams(**{n: -p[n].grad for n in PARAM_FIELDS})
-            alpha = adam_step_size(cfg.learning_rate, it)
-            adam, params = adam_step(adam, params, grads, alpha)
+            with np.errstate(over="ignore", invalid="ignore"):
+                obj, p, depleted = batch_objective(params, R, Q, curve, cfg)
+                value = float(obj.value)
+                if not np.isfinite(value):
+                    raise NumericError("objective diverged")
+                t1 = time.perf_counter()
+                obj.backward()
+                t2 = time.perf_counter()
+                grads = MlpParams(**{n: -p[n].grad for n in PARAM_FIELDS})
+                alpha = adam_step_size(cfg.learning_rate, it)
+                adam, params = adam_step(adam, params, grads, alpha)
         except NumericError as exc:
             save("abort", it - 1)
             raise TrainingAborted(f"{exc} at iteration {it}", report) \

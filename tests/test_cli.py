@@ -315,6 +315,73 @@ def test_overflowing_deflator_exits_4_before_any_output(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_non_finite_adam_moment_exits_4(tmp_path, capsys):
+    # A wealth unit of 1e-300 puts the objective near 4.9e304, and the
+    # square of its gradient passes float range in Adam's second moment.
+    # Every update would then be 0: the weights would stay put and the run
+    # would exit 0.
+    from superdraw.policy import load_checkpoint
+    cfgp = write_config(tmp_path / "cfg.ini", """
+[train]
+m_train = 64
+batch_size = 16
+iterations = 6
+horizon = 1
+w0 = 1e-300
+learning_rate = 1.0
+log_every = 1
+
+[utility]
+rho = 1e-9
+
+[account]
+investment_fee = 1.0
+""")
+    out = tmp_path / "run"
+    assert run(["train", "--config", cfgp, "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert "non-finite Adam moment at iteration 1" in err
+    assert "RuntimeWarning" not in err
+    meta = load_checkpoint(out / "checkpoints" / "checkpoint_abort.npz")[2]
+    assert meta["iteration"] == 0
+    assert (out / "report.csv").read_text().splitlines() == [
+        "iter,objective,wallclock_ms,forward_ms,backward_ms,adam_ms,"
+        "step_size,depleted"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_return_past_exp_range_exits_4_without_a_warning(tmp_path, capsys,
+                                                         command):
+    # An equity volatility of 1e300 leaves R finite but past the range of
+    # e^R, so the wealth after year 0 is not finite.
+    from superdraw.policy import load_checkpoint
+    train = "[train]\nm_train = 16\niterations = 2\nbatch_size = 8\n" \
+            "seed = 5\nlog_every = 1\n"
+    cfgp = write_config(tmp_path / "cfg.ini",
+                        train + "[esg]\nsigma_S = 1e300\n")
+    out = tmp_path / "out"
+    argv = [command, "--out", out, "--config", cfgp]
+    if command == "evaluate":
+        ckpt = tmp_path / "run"
+        assert run(["train", "--config", write_config(
+            tmp_path / "base.ini", train), "--out", ckpt]) == 0
+        argv += ["--checkpoint", ckpt / "checkpoints", "--m-test", 40]
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert "numeric error: non-finite wealth after year t=0" in err
+    assert "RuntimeWarning" not in err
+    if command == "train":
+        assert "at iteration 1" in err
+        meta = load_checkpoint(out / "checkpoints" /
+                               "checkpoint_abort.npz")[2]
+        assert meta["iteration"] == 0
+        assert len((out / "report.csv").read_text().splitlines()) == 1
+    else:
+        _assert_no_helper_left(out, [])
+
+
 @pytest.mark.parametrize("rho, code", [(21, 2), (20, 2), (5, 0)])
 def test_train_rejects_a_non_finite_utility_floor(tmp_path, capsys, rho,
                                                   code):

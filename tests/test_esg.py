@@ -524,13 +524,16 @@ def _assert_no_helper_left(directory, names):
 
 
 # With two usable CPUs a helper formats paths [M // 2, M): M = 2 splits
-# one and one, odd M unevenly, and at T = 41 (8 paths per block) the halves
-# of 17 (8 + 9) and 250 (125 + 125) paths are not whole blocks. One CPU,
-# and M < 2, take the one-process branch.
+# one and one, odd M unevenly. At T = 41 (64 paths per block) the halves of
+# 150 (75 = 64 + 11) and 250 (125 = 64 + 61) paths are not whole blocks,
+# nor at T = 2 (896 paths per block) those of 2,000 (1,000 = 896 + 104).
+# Blocks of at least KERNEL_MIN_ROWS rows take the number kernel, smaller
+# ones `%`. One CPU, and M < 2, take the one-process branch.
 @pytest.mark.parametrize("M, T, cpus", [
     pytest.param(M, T, cpus, id=f"{M}-{T}" + ("" if cpus == 2 else "-1cpu"))
     for cpus in (2, 1)
-    for M, T in [(1, 2), (1, 41), (2, 41), (250, 2), (17, 41), (250, 41)]])
+    for M, T in [(1, 2), (1, 41), (2, 41), (250, 2), (17, 41), (250, 41),
+                 (150, 41), (2000, 2)]])
 def test_panel_csv_matches_csv_writer_bytes(tmp_path, monkeypatch, M, T,
                                             cpus):
     # Values whose %.10g text is easy to get wrong: signed zero, exponent

@@ -3,7 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 import tokenize
 from collections import Counter
@@ -95,3 +97,14 @@ def test_only_csvblock_imports_csv():
                  if any(map(imports_csv, ast.walk(ast.parse(
                      path.read_text()))))]
     assert importers == ["_csvblock"]
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark's checks read the outputs as text; its self-test shows
+    # that each accepts the package's real output and rejects a corruption.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    done = subprocess.run([sys.executable, str(bench / "selftest.py")],
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "13/13 checks" in done.stdout
