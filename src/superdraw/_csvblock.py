@@ -43,8 +43,9 @@ Both processes run the same block loop, so the bytes are those of writing
 every section in one process, which is what happens when `os.fork` is
 missing or fewer than two CPUs are usable. The same fork, kill and reap
 (`_helper`) also serve other work that one process can hand to a second
-CPU, such as `evaluate`'s snapshot rollouts, which run BLAS matrix
-products in the helper.
+CPU. `evaluate`'s helper takes no file: it simulates half of the held-out
+panel and rolls the snapshot policies, with BLAS matrix products, into a
+shared anonymous mapping.
 """
 from __future__ import annotations
 
@@ -441,11 +442,12 @@ def _kernel_text(row: str, plan: _Plan, values: np.ndarray,
 
 
 @contextlib.contextmanager
-def _helper(directory, fill):
-    """Fork a process that runs `fill(tmp)`, writing into `tmp`, an
-    unlinked binary temporary file in `directory`. Yields a function that
-    reaps it and returns that file at offset 0; a helper that failed raises
-    OSError there, and one not reaped by then is killed and reaped.
+def _helper(work):
+    """Fork a process that runs `work()`. Yields a function that reaps it;
+    a helper that failed raises OSError there, and one not reaped by then
+    is killed and reaped. The helper hands its results back through what
+    it shares with this process, such as a file or a shared mapping made
+    before the fork.
 
     Forking a process that has BLAS threads is safe: OpenBLAS stops its
     thread pool before a fork and starts it again when next needed. A
@@ -453,39 +455,34 @@ def _helper(directory, fill):
     threading limit (see `trainer.EVAL_BLOCK`), so that it and this process
     each keep to one CPU.
     """
-    with tempfile.TemporaryFile(dir=directory) as tmp:
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                fill(tmp)
-                tmp.flush()
-                status = 0
-            except BaseException as exc:
-                # The helper never returns into the caller's code; its
-                # failure reaches the parent as the exit status.
-                os.write(2, f"helper process: {exc!r}\n".encode())
-            finally:
-                os._exit(status)
-        running = True
-
-        def reap():
-            nonlocal running
-            _, wait_status = os.waitpid(pid, 0)
-            running = False
-            code = os.waitstatus_to_exitcode(wait_status)
-            if code:
-                raise OSError(f"helper process {pid} exited with "
-                              f"status {code}")
-            tmp.seek(0)
-            return tmp
-
+    pid = os.fork()
+    if pid == 0:
+        status = 1
         try:
-            yield reap
+            work()
+            status = 0
+        except BaseException as exc:
+            # The helper never returns into the caller's code; its failure
+            # reaches the parent as the exit status.
+            os.write(2, f"helper process: {exc!r}\n".encode())
         finally:
-            if running:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            os._exit(status)
+    running = True
+
+    def reap():
+        nonlocal running
+        _, wait_status = os.waitpid(pid, 0)
+        running = False
+        code = os.waitstatus_to_exitcode(wait_status)
+        if code:
+            raise OSError(f"helper process {pid} exited with status {code}")
+
+    try:
+        yield reap
+    finally:
+        if running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def write_csv(path, header: str, sections, tail=()) -> None:
@@ -494,9 +491,10 @@ def write_csv(path, header: str, sections, tail=()) -> None:
     the %-template `row` filled per row. `%d` takes integral floats as well.
 
     With `os.fork` and two usable CPUs, `tail` is formatted by a helper
-    process at the same time as `sections` and appended, byte for byte
-    what one process writes. A failure on either side kills and reaps the
-    helper and removes the partial file.
+    process into an unlinked temporary file next to `path`, at the same
+    time as `sections`, and appended: byte for byte what one process
+    writes. A failure on either side kills and reaps the helper and removes
+    the partial file.
     """
     split = bool(tail) and hasattr(os, "fork") and _usable_cpus() >= 2
 
@@ -506,13 +504,19 @@ def write_csv(path, header: str, sections, tail=()) -> None:
 
     fh = open(path, "w", newline="")
     try:
-        with fh, _helper(Path(path).parent, fill) if split \
-                else contextlib.nullcontext() as reap:
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(fh)
+            if split:
+                tmp = stack.enter_context(
+                    tempfile.TemporaryFile(dir=Path(path).parent))
+                reap = stack.enter_context(_helper(lambda: fill(tmp)))
             fh.write(header)
             _write_rows(fh, sections)
             if split:
+                reap()
                 fh.flush()
-                shutil.copyfileobj(reap(), fh.buffer, 1 << 20)
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh.buffer, 1 << 20)
             else:
                 _write_rows(fh, tail)
     except BaseException:

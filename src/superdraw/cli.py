@@ -265,12 +265,13 @@ def cmd_evaluate(args) -> int:
     seq = _checkpoint_sequence(args.checkpoint, cfg) \
         if Path(args.checkpoint).is_dir() else [(meta["iteration"], params)]
     curve = cfg.curve()
-    panel = cfg.panel(m_test, test_seed)
-    out = _out_dir(args)
     strategies = list(StrategyKind)
-    # A helper rolls the other snapshots while this process runs `compare`.
-    with snapshots_in_helper(seq, panel, cfg, curve, params, out) as rolled:
+    # A helper simulates half of the panel, then rolls the other snapshots
+    # while this process runs `compare`.
+    with snapshots_in_helper(seq, cfg, m_test, test_seed, curve,
+                             params) as (panel, rolled):
         report = compare(params, strategies, panel, cfg, curve=curve)
+        out = _out_dir(args)
         write_utilities_csv(report, out / "utilities.csv")
         for label, mp in report.medians.items():
             write_medians_csv(mp, out / f"medians_{label}.csv")

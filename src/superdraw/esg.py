@@ -15,7 +15,9 @@ runs the paths in blocks of `SIM_BLOCK`: a block draws its paths' shocks,
 runs the whole cascade year-major on (T + 1, block) rows and fills its rows
 of the panel's path-major (M, T + 1) columns. Its working memory is the
 columns it keeps plus one block, and neither the block size nor the
-columns kept change a bit of the panel.
+columns kept change a bit of the panel. It can also fill a run of rows of
+a larger panel's columns (`first`, `out`), so that two processes can each
+simulate part of one panel.
 
 The module covers three jobs: simulating the model with one
 counter-based random stream per path, refitting the coefficients from an
@@ -42,6 +44,7 @@ __all__ = [
     "ScenarioPanel",
     "DEFAULT_PARAMS",
     "bundled_history_path",
+    "check_panel_size",
     "simulate",
     "portfolio_return",
     "calibrate",
@@ -290,8 +293,19 @@ def _path_shocks(params: EsgParams, seed: int, paths: range,
     return eps
 
 
+def check_panel_size(M: int, T: int) -> None:
+    """ConfigError unless `simulate` builds a panel of M paths over T
+    years: both at least 1, and within the cell budget."""
+    if M < 1 or T < 1:
+        raise ConfigError("M and T must be at least 1")
+    if M * (T + 1) * 9 > _MAX_CELLS:
+        raise ConfigError(f"panel of {M}x{T + 1} exceeds the cell budget "
+                          f"({_MAX_CELLS})")
+
+
 def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
-             omega: float = 0.7, factors: bool = True) -> ScenarioPanel:
+             omega: float = 0.7, factors: bool = True, first: int = 0,
+             out: dict | None = None) -> ScenarioPanel:
     """Simulate M paths over T years from the given initial state.
 
     Path m's shocks are the Philox stream keyed [seed, m] from counter 0,
@@ -303,21 +317,23 @@ def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
     columns. Without them it holds R and Q only: every factor is still
     simulated, since R needs them, but not kept, and R and Q are the same to
     the bit.
+
+    `first` and `out` fill rows of a larger panel: the paths are first ..
+    first + M - 1, and `out` maps each kept column to the (M, T + 1) array
+    that receives it, such as a slice of rows of the larger panel's column.
+    The returned panel holds those arrays.
     """
-    if M < 1 or T < 1:
-        raise ConfigError("M and T must be at least 1")
-    if M * (T + 1) * 9 > _MAX_CELLS:
-        raise ConfigError(f"panel of {M}x{T + 1} exceeds the cell budget "
-                          f"({_MAX_CELLS})")
+    check_panel_size(M, T)
     if not all(np.isfinite(getattr(initial, k)).all() for k in _FACTORS):
         raise NumericError("non-finite initial state")
 
     kept = _PANEL_COLUMNS if factors else ("R", "Q")
-    cols = {k: np.empty((M, T + 1)) for k in kept}
+    cols = {k: np.empty((M, T + 1)) for k in kept} if out is None \
+        else {k: out[k] for k in kept}
     with np.errstate(all="ignore"):
         for m0 in range(0, M, SIM_BLOCK):
             m1 = min(m0 + SIM_BLOCK, M)
-            eps = _path_shocks(params, seed, range(m0, m1), T)
+            eps = _path_shocks(params, seed, range(first + m0, first + m1), T)
             rows = {k: np.empty((T + 1, m1 - m0)) for k in _FACTORS}
             for k in _FACTORS:
                 rows[k][0] = getattr(initial, k)

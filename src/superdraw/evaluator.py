@@ -10,6 +10,7 @@ consumption and wealth paths.
 from __future__ import annotations
 
 import contextlib
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from . import _csvblock
 from ._csvblock import BLOCK_ROWS, literal, write_csv
 from .baselines import rollout_strategy
 from .errors import ConfigError
-from .esg import ScenarioPanel
+from .esg import ScenarioPanel, check_panel_size
 from .mortality import SurvivalCurve
 from .policy import MlpParams
 from .trainer import (PathRecords, TrainConfig, network_consumer,
@@ -126,35 +127,88 @@ def snapshot_utilities(snapshots, panel: ScenarioPanel, cfg: TrainConfig,
 
 
 @contextlib.contextmanager
-def snapshots_in_helper(snapshots, panel: ScenarioPanel, cfg: TrainConfig,
-                        curve: SurvivalCurve, policy: MlpParams, directory):
-    """Run `snapshot_utilities` in a forked helper while the block runs.
+def snapshots_in_helper(snapshots, cfg: TrainConfig, M: int, seed: int,
+                        curve: SurvivalCurve, policy: MlpParams):
+    """Simulate the held-out panel `cfg.panel(M, seed)` with a forked
+    helper, which then runs `snapshot_utilities` while the block runs.
 
-    Yields a function that waits for the helper and returns its list, which
-    passes through an unlinked temporary file in `directory`. It returns
-    None where no helper was forked (no `os.fork`, fewer than two usable
-    CPUs, or no snapshot to roll) or the helper failed; the snapshots are
-    then rolled in this process by `outperformance_curve`, so a failure is
-    raised there as it would be without a helper. A helper still running
-    when the block ends is killed and reaped.
+    Yields (panel, rolled). The panel's R and Q sit in one shared anonymous
+    mapping. This process simulates paths [0, M // 2) into it while the
+    helper simulates [M // 2, M); a path is the same whichever process
+    draws it. The helper writes one byte to a pipe when its half is filled;
+    end of file without it means the helper failed, and this process then
+    fills that half itself. Only when the whole panel is filled and finite
+    does this process send the helper a byte, and the helper then rolls the
+    snapshots into the same mapping. `rolled()` waits for it and returns
+    their list.
+
+    No helper is forked where there is no `os.fork`, fewer than two usable
+    CPUs, or no snapshot to roll: this process fills both halves by the
+    same steps, and `rolled()` returns None. It also returns None when the
+    helper failed. The snapshots are then rolled in this process by
+    `outperformance_curve`, so a failure is raised there as it would be
+    without a helper. A non-finite R or Q raises NumericError from this
+    process. A helper still running when the block ends is killed and
+    reaped; the mapping is unmapped when the last array over it is freed.
     """
-    if not (hasattr(os, "fork") and _csvblock._usable_cpus() >= 2
-            and any(not _same(params, policy) for _, params in snapshots)):
-        yield lambda: None
-        return
+    T = cfg.horizon
+    check_panel_size(M, T)
+    rolls = sum(not _same(params, policy) for _, params in snapshots)
+    if not (hasattr(os, "fork") and _csvblock._usable_cpus() >= 2):
+        rolls = 0
+    cells = M * (T + 1)
+    buf = mmap.mmap(-1, 8 * (2 * cells + rolls * M))
+    R, Q, utilities = (np.ndarray(shape, buffer=buf, offset=8 * at)
+                       for shape, at in (((M, T + 1), 0),
+                                         ((M, T + 1), cells),
+                                         ((rolls, M), 2 * cells)))
+    half = M // 2
 
-    def fill(tmp):
-        np.save(tmp, np.array(snapshot_utilities(snapshots, panel, cfg,
-                                                 curve, policy)))
+    def fill(m0, m1):
+        if m0 < m1:
+            cfg.panel(m1 - m0, seed, first=m0,
+                      out={"R": R[m0:m1], "Q": Q[m0:m1]})
 
-    with _csvblock._helper(directory, fill) as reap:
-        def rolled():
+    with contextlib.ExitStack() as stack:
+        if rolls:
+            ready, go = os.pipe(), os.pipe()    # from and to the helper
+            stack.callback(os.close, ready[0])
+            stack.callback(os.close, go[1])
+
+            def helper():
+                os.close(ready[0])
+                os.close(go[1])
+                fill(half, M)
+                os.write(ready[1], b"!")
+                if os.read(go[0], 1):
+                    utilities[:] = snapshot_utilities(
+                        snapshots, ScenarioPanel(M=M, T=T, R=R, Q=Q), cfg,
+                        curve, policy)
+
             try:
-                return list(np.load(reap()))
+                reap = stack.enter_context(_csvblock._helper(helper))
+            finally:
+                os.close(ready[1])
+                os.close(go[0])
+        fill(0, half)
+        helped = bool(rolls) and os.read(ready[0], 1) == b"!"
+        if not helped:
+            fill(half, M)
+        panel = ScenarioPanel(M=M, T=T, R=R, Q=Q)
+        if helped:
+            with contextlib.suppress(BrokenPipeError):
+                os.write(go[1], b"!")
+
+        def rolled():
+            if not helped:
+                return None
+            try:
+                reap()
             except OSError:
                 return None
+            return list(utilities.copy())
 
-        yield rolled
+        yield panel, rolled
 
 
 def outperformance_curve(snapshots, strategies, panel: ScenarioPanel,
@@ -248,18 +302,36 @@ def utility_diff_density(diffs: np.ndarray) -> DiffDensity:
 # -------------------------------------------------------------------- medians
 
 
+def _row_medians(a: np.ndarray) -> np.ndarray:
+    """`np.median(a, axis=1)` of a finite array, with one partition.
+
+    `np.median` partitions at the middle index h = n // 2, at h - 1 for an
+    even n, and at the last index to look for NaN. One partition at h
+    places the upper middle value; for an even n the lower one is the
+    largest value below it. The two are combined as `np.median` combines
+    them, by `np.mean`, so the result is `np.median`'s to the bit for
+    finite values. The engine's records are finite: it raises on wealth
+    that is not.
+    """
+    h = a.shape[1] // 2
+    part = np.partition(a, h, axis=1)
+    if a.shape[1] % 2:
+        return part[:, h].copy()
+    return np.mean([part[:, :h].max(axis=1), part[:, h]], axis=0)
+
+
 def median_paths(records: PathRecords, retirement_age: int) -> MedianPaths:
     """Per-age medians of real consumption and wealth across paths.
 
     The consumption rate is the ratio of the medians; entries where the
     median wealth is zero come out as NaN. The medians run along the rows
     of the records' transposes, which are contiguous for the engine's
-    year-major records.
+    year-major records; records must be finite (`_row_medians`).
     """
     if records.consumption.size == 0:
         raise ConfigError("empty rollout set")
-    med_c = np.median(records.consumption.T, axis=1)
-    med_w = np.median(records.wealth.T, axis=1)
+    med_c = _row_medians(records.consumption.T)
+    med_w = _row_medians(records.wealth.T)
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = np.where(med_w > 0.0, med_c / med_w, np.nan)
     ages = retirement_age + np.arange(records.consumption.shape[1])

@@ -379,7 +379,8 @@ def test_return_past_exp_range_exits_4_without_a_warning(tmp_path, capsys,
         assert meta["iteration"] == 0
         assert len((out / "report.csv").read_text().splitlines()) == 1
     else:
-        _assert_no_helper_left(out, [])
+        # `--out` is made only before the first write.
+        _assert_no_helper_left(out, None)
 
 
 @pytest.mark.parametrize("rho, code", [(21, 2), (20, 2), (5, 0)])
@@ -638,16 +639,16 @@ EVAL_FILES = ["utilities.csv", "outperformance.csv", "config_used.ini",
 
 
 def _evaluate_in_layout(trained_run, out, monkeypatch, capfd, cpus,
-                        checkpoint=None):
+                        checkpoint=None, m_test=40):
     """(exit code, forks, captured output) of `evaluate` of the trained
-    run's checkpoint directory, or of `checkpoint`, with `cpus` usable
-    CPUs."""
+    run's checkpoint directory, or of `checkpoint`, on `m_test` paths with
+    `cpus` usable CPUs."""
     cfgp, run_dir = trained_run
     monkeypatch.setattr(_csvblock, "_usable_cpus", lambda: cpus)
     forks = _count_forks(monkeypatch)
     capfd.readouterr()
     code = run(["evaluate", "--config", cfgp, "--checkpoint",
-                checkpoint or run_dir / "checkpoints", "--m-test", 40,
+                checkpoint or run_dir / "checkpoints", "--m-test", m_test,
                 "--seed", 99, "--out", out])
     return code, len(forks), capfd.readouterr()
 
@@ -656,10 +657,12 @@ def _files(directory) -> dict:
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
-@pytest.mark.parametrize("target", ["directory", "file"])
+@pytest.mark.parametrize("target, m_test", [
+    ("directory", 1), ("directory", 39), ("directory", 40), ("file", 40)])
 def test_evaluate_outputs_do_not_depend_on_the_layout(
-        trained_run, tmp_path, monkeypatch, capfd, target):
-    # With two usable CPUs a helper rolls the snapshots that differ from
+        trained_run, tmp_path, monkeypatch, capfd, target, m_test):
+    # With two usable CPUs a helper simulates paths [M // 2, M) of the
+    # panel, all of it for M = 1, and rolls the snapshots that differ from
     # the final policy; a single checkpoint file has none, so no helper.
     ckpt = trained_run[1] / "checkpoints"
     if target == "file":
@@ -668,7 +671,7 @@ def test_evaluate_outputs_do_not_depend_on_the_layout(
     for cpus in (1, 2):
         out = tmp_path / f"cpus{cpus}"
         code, forks, printed = _evaluate_in_layout(
-            trained_run, out, monkeypatch, capfd, cpus, ckpt)
+            trained_run, out, monkeypatch, capfd, cpus, ckpt, m_test)
         assert code == 0
         assert forks == (cpus == 2 and target == "directory"
                          and hasattr(os, "fork"))
@@ -701,6 +704,66 @@ def test_evaluate_helper_failure_rolls_its_snapshots_here(
     assert got.out == want.out
     _assert_no_helper_left(tmp_path / "two", EVAL_FILES)
     assert _files(tmp_path / "two") == _files(tmp_path / "one")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper needs fork")
+def test_evaluate_helper_failure_in_its_half_fills_it_here(
+        trained_run, tmp_path, monkeypatch, capfd):
+    # A helper that fails before its half of the panel is filled sends no
+    # byte; this process fills that half and rolls the snapshots itself:
+    # the same files and stdout as the one-CPU layout.
+    from superdraw import esg
+    code, _, want = _evaluate_in_layout(trained_run, tmp_path / "one",
+                                        monkeypatch, capfd, 1)
+    assert code == 0
+    parent, real = os.getpid(), esg.simulate
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            raise MemoryError("no room for the helper's half")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(esg, "simulate", failing)
+    code, forks, got = _evaluate_in_layout(trained_run, tmp_path / "two",
+                                           monkeypatch, capfd, 2)
+    assert (code, forks) == (0, 1)
+    assert "helper process: MemoryError(" in got.err
+    assert got.out == want.out
+    _assert_no_helper_left(tmp_path / "two", EVAL_FILES)
+    assert _files(tmp_path / "two") == _files(tmp_path / "one")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("seed, bad_path", [(106, 21), (99, 11)])
+def test_evaluate_nonfinite_deflator_in_one_half_exits_4(
+        trained_run, tmp_path, monkeypatch, capfd, cpus, seed, bad_path):
+    # Inflation of 88.5 a year with shocks of 3 passes float range in Q
+    # within the 8-year horizon on one path alone: path 21 of seed 106, in
+    # the half [20, 40) that a helper simulates, or path 11 of seed 99, in
+    # this process's half. The trained run's snapshots differ from its
+    # final policy, so with two CPUs the helper is forked.
+    from superdraw.cli import _read_ini, build_train_config
+    from superdraw.errors import NumericError
+    cfgp = write_config(tmp_path / "cfg.ini", TINY_TRAIN +
+                        "[esg]\nmu_q = 88.5\nsigma_q = 3\n")
+    cfg = build_train_config(_read_ini(cfgp))
+    for m in range(40):
+        if m == bad_path:
+            with pytest.raises(NumericError):
+                cfg.panel(1, seed, first=m)
+        else:
+            cfg.panel(1, seed, first=m)
+    monkeypatch.setattr(_csvblock, "_usable_cpus", lambda: cpus)
+    forks = _count_forks(monkeypatch)
+    out = tmp_path / "eval"
+    capfd.readouterr()
+    assert run(["evaluate", "--config", cfgp, "--checkpoint",
+                trained_run[1] / "checkpoints", "--m-test", 40,
+                "--seed", seed, "--out", out]) == 4
+    assert "numeric error: non-finite Q in simulated panel" in \
+        capfd.readouterr().err
+    assert len(forks) == (cpus == 2 and hasattr(os, "fork"))
+    _assert_no_helper_left(out, None)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

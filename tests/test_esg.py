@@ -193,6 +193,28 @@ def test_simulate_matches_esg_year_oracle(monkeypatch):
                 assert panel.Q[m, t] == pytest.approx(Q, abs=1e-14)
 
 
+@pytest.mark.parametrize("M", [1, 39, 40, 1031])
+@pytest.mark.parametrize("factors", [True, False])
+def test_rows_filled_in_two_calls_are_the_whole_panel(M, factors):
+    # `first` and `out` fill paths [0, M // 2) and [M // 2, M) of one set
+    # of columns, as `evaluate`'s two processes do; the rows are the bits
+    # of one call for the whole panel, and each call's panel is its rows.
+    init = stationary_state(DEFAULT_PARAMS)
+    whole = esg.simulate(DEFAULT_PARAMS, init, M=M, T=6, seed=11,
+                         factors=factors)
+    kept = _PANEL_COLS if factors else ("R", "Q")
+    cols = {k: np.full((M, 7), np.nan) for k in kept}
+    for m0, m1 in ((0, M // 2), (M // 2, M)):
+        if m0 < m1:
+            part = esg.simulate(DEFAULT_PARAMS, init, M=m1 - m0, T=6, seed=11,
+                                factors=factors, first=m0,
+                                out={k: c[m0:m1] for k, c in cols.items()})
+            assert part.M == m1 - m0
+            assert part.R.base is cols["R"]
+    for k in kept:
+        assert cols[k].tobytes() == getattr(whole, k).tobytes(), k
+
+
 def test_simulate_holds_the_panel_and_one_block():
     # Beside the columns it holds, a 10,000-path panel is built with one
     # block's shocks and rows, within a quarter of the nine-column panel's
@@ -286,6 +308,11 @@ def test_simulate_guards():
     with pytest.raises(ConfigError):
         # Over the cell budget; the check runs before anything is drawn.
         esg.simulate(DEFAULT_PARAMS, init, M=10 ** 7, T=5, seed=0)
+    # The largest panel within the budget at T = 5 is 3,703,703 paths.
+    esg.check_panel_size(3_703_703, 5)
+    for M, T in ((0, 5), (1, 0), (3_703_704, 5)):
+        with pytest.raises(ConfigError):
+            esg.check_panel_size(M, T)
 
 
 def test_panel_take():
@@ -517,10 +544,14 @@ def _count_forks(monkeypatch) -> list:
 
 
 def _assert_no_helper_left(directory, names):
-    """No child process is left running and `directory` holds `names`."""
+    """No child process is left running and `directory` holds `names`, or
+    does not exist when `names` is None."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert sorted(p.name for p in directory.iterdir()) == sorted(names)
+    if names is None:
+        assert not directory.exists()
+    else:
+        assert sorted(p.name for p in directory.iterdir()) == sorted(names)
 
 
 # With two usable CPUs a helper formats paths [M // 2, M): M = 2 splits

@@ -244,13 +244,16 @@ def test_median_paths_elementwise():
     assert np.isnan(mp.consumption_rate[1])
 
 
-@pytest.mark.parametrize("paths", [40, 41])
+@pytest.mark.parametrize("paths", [1, 2, 40, 41])
 def test_median_paths_equal_on_c_order_and_year_major_records(paths):
-    # An even and an odd path count: the median averages two middle values
-    # or takes one, along either layout.
+    # Even and odd path counts: the median averages two middle values or
+    # takes one, along either layout, and is `np.median`'s to the bit.
     rng = np.random.default_rng(paths)
     fields = [rng.lognormal(10.0, 1.0, (paths, 9)) for _ in range(3)]
     fields[1][:, -2:] = 0.0                 # a zero median wealth -> NaN
+    fields[1][: paths // 2 + 1, 3] = 0.0    # zero wealth up to the middle
+    fields[0][:, 4:6] = np.round(fields[0][:, 4:6], -5)     # ties
+    fields[0][:, 6] = fields[0][0, 6]       # all tied
     c_order = PathRecords(*fields)
     year_major = PathRecords(*(np.ascontiguousarray(a.T).T for a in fields))
     assert year_major.wealth.T.flags.c_contiguous
@@ -259,8 +262,9 @@ def test_median_paths_equal_on_c_order_and_year_major_records(paths):
     for name in ("age", "consumption", "wealth", "consumption_rate"):
         assert np.array_equal(getattr(want, name), getattr(got, name),
                               equal_nan=True)
-    assert np.array_equal(want.consumption,
-                          [np.median(fields[0][:, j]) for j in range(9)])
+    for name, field in (("consumption", 0), ("wealth", 1)):
+        oracle = np.median(fields[field], axis=0)
+        assert getattr(got, name).tobytes() == oracle.tobytes(), name
 
 
 def test_median_paths_empty_rejected():

@@ -195,16 +195,21 @@ def test_engine_is_bit_identical_across_input_layouts():
     assert results[0][2] == pytest.approx(rec.wealth[idx], rel=1e-12)
 
 
-def test_evaluation_blocks_match_one_pass_bit_for_bit(monkeypatch):
+@pytest.mark.parametrize("M", [1500, 300])
+def test_evaluation_blocks_match_one_pass_bit_for_bit(monkeypatch, M):
     # Without `kept` the network may run over blocks of paths (of at most
-    # 512): 1,500 paths make two full blocks and a partial one. Each path's
-    # fraction, and so its consumption, must be bit for bit that of one
-    # pass over all 1,500, so that evaluation outputs do not depend on it.
+    # 512), with its biases broadcast to a whole block and sliced for a
+    # shorter one: 1,500 paths make two full blocks and a partial one, 300
+    # one partial block. Each path's fraction, and so its consumption, must
+    # be bit for bit that of one pass over all M with the (k, 1) biases,
+    # so that evaluation outputs do not depend on it.
     cfg = small_config(horizon=41)
     params = he_init(seed=4)
+    for n in ("b0", "b1", "b2", "b3"):      # he_init's biases are zero
+        b = getattr(params, n)
+        b[:, 0] = np.linspace(-0.5, 0.5, len(b))
     w = {n: getattr(params, n) for n in PARAM_FIELDS}
     rng = np.random.default_rng(12)
-    M = 1500
     W, A = rng.uniform(0.0, 2e6, M), rng.uniform(0.0, 3e4, M)
     R, Q = rng.normal(0.05, 0.1, M), np.exp(rng.normal(0.5, 0.3, M))
     real, fracs = trainer.policy_fraction, []
