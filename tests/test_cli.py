@@ -658,7 +658,10 @@ def _files(directory) -> dict:
 
 
 @pytest.mark.parametrize("target, m_test", [
-    ("directory", 1), ("directory", 39), ("directory", 40), ("file", 40)])
+    pytest.param("directory", 40, id="directory"),
+    pytest.param("file", 40, id="file"),
+    pytest.param("directory", 1, id="directory-1"),
+    pytest.param("directory", 39, id="directory-39")])
 def test_evaluate_outputs_do_not_depend_on_the_layout(
         trained_run, tmp_path, monkeypatch, capfd, target, m_test):
     # With two usable CPUs a helper simulates paths [M // 2, M) of the

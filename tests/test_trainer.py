@@ -195,8 +195,7 @@ def test_engine_is_bit_identical_across_input_layouts():
     assert results[0][2] == pytest.approx(rec.wealth[idx], rel=1e-12)
 
 
-@pytest.mark.parametrize("M", [1500, 300])
-def test_evaluation_blocks_match_one_pass_bit_for_bit(monkeypatch, M):
+def test_evaluation_blocks_match_one_pass_bit_for_bit(monkeypatch):
     # Without `kept` the network may run over blocks of paths (of at most
     # 512), with its biases broadcast to a whole block and sliced for a
     # shorter one: 1,500 paths make two full blocks and a partial one, 300
@@ -210,8 +209,6 @@ def test_evaluation_blocks_match_one_pass_bit_for_bit(monkeypatch, M):
         b[:, 0] = np.linspace(-0.5, 0.5, len(b))
     w = {n: getattr(params, n) for n in PARAM_FIELDS}
     rng = np.random.default_rng(12)
-    W, A = rng.uniform(0.0, 2e6, M), rng.uniform(0.0, 3e4, M)
-    R, Q = rng.normal(0.05, 0.1, M), np.exp(rng.normal(0.5, 0.3, M))
     real, fracs = trainer.policy_fraction, []
 
     def kept_fraction(w, x):
@@ -221,13 +218,16 @@ def test_evaluation_blocks_match_one_pass_bit_for_bit(monkeypatch, M):
 
     monkeypatch.setattr(trainer, "policy_fraction", kept_fraction)
     consume = network_consumer(params, cfg.norm())
-    for t in (0, 40):
-        fracs.clear()
-        C = consume(t, W, A, R, Q)
-        want, _ = real(w, normalized_inputs(np.full(M, float(t)), W, R, Q,
-                                            cfg.norm()))
-        assert np.concatenate(fracs).tobytes() == want.tobytes()
-        assert C.tobytes() == ((W + A) * want).tobytes()
+    for M in (1500, 300):
+        W, A = rng.uniform(0.0, 2e6, M), rng.uniform(0.0, 3e4, M)
+        R, Q = rng.normal(0.05, 0.1, M), np.exp(rng.normal(0.5, 0.3, M))
+        for t in (0, 40):
+            fracs.clear()
+            C = consume(t, W, A, R, Q)
+            want, _ = real(w, normalized_inputs(np.full(M, float(t)), W, R,
+                                                Q, cfg.norm()))
+            assert np.concatenate(fracs).tobytes() == want.tobytes()
+            assert C.tobytes() == ((W + A) * want).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
