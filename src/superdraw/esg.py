@@ -311,7 +311,8 @@ def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
     Path m's shocks are the Philox stream keyed [seed, m] from counter 0,
     drawn as T rows of seven standard normals (q, S, e, n, b, o, h) and
     scaled by the sigmas; a path is the same in a panel of any size M and
-    whatever `SIM_BLOCK` is. A non-finite R or Q is a NumericError.
+    whatever `SIM_BLOCK` is. A non-finite R or Q, or a Q that underflows
+    to 0, is a NumericError.
 
     The panel holds R, Q and, with `factors` (the default), the seven factor
     columns. Without them it holds R and Q only: every factor is still
@@ -350,6 +351,9 @@ def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
             for name, col in (("R", R), ("Q", Q)):
                 if not np.isfinite(col).all():
                     raise NumericError(f"non-finite {name} in simulated panel")
+            if not Q.all():
+                raise NumericError("deflator Q underflowed to 0 in simulated "
+                                   "panel")
             rows.update(s=state.s, R=R, Q=Q)
             for k in kept:
                 cols[k][m0:m1] = rows[k].T

@@ -1,4 +1,9 @@
+import dataclasses
+import functools
+import importlib.util
+import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +13,63 @@ import superdraw
 from superdraw import esg
 from superdraw.policy import PARAM_FIELDS, MlpParams
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
 # Command tests run `python -m superdraw.cli` in a subprocess; it imports the
 # same package as the tests, installed or from a checkout's src/.
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
     str(Path(superdraw.__file__).resolve().parents[1]),
     os.environ.get("PYTHONPATH")]))
+
+
+@functools.cache
+def load_bench(name: str):
+    """`bench/<name>.py` imported from its file, once, without writing
+    bytecode into `bench/`."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # where `dataclass` looks its module up
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        sys.dont_write_bytecode = saved
+    return mod
+
+
+# The one independent reference of the model outside the package: it
+# imports nothing from `superdraw` (tests/test_package.py checks that).
+reference = load_bench("reference")
+
+
+def reference_dict(params) -> dict:
+    """PensionParams, AccountParams or EsgParams as the reference's dict,
+    keyed by lowercased field name as a config file's keys are read."""
+    return {k.lower(): v for k, v in dataclasses.asdict(params).items()}
+
+
+def reference_model(cfg):
+    """The reference's `Model` of a TrainConfig, with the utility its
+    objectives use."""
+    u = cfg.effective_utility()
+    return reference.Model(
+        esg=reference_dict(cfg.esg), pension=reference_dict(cfg.pension),
+        account=reference_dict(cfg.account), rho=u.rho, phi=u.phi,
+        floor=u.floor_epsilon, unit=u.wealth_unit, w0=cfg.w0,
+        horizon=cfg.horizon, retirement_age=cfg.retirement_age,
+        gender=cfg.gender)
+
+
+def reference_walk(consume, panel, m, cfg, curve):
+    """`reference.walk` of panel path m under `cfg`: (lifetime utility,
+    real consumption per year, kink signature). Q is rebuilt year by year
+    from the path's q column."""
+    Q = [1.0]
+    for q in panel.q[m, 1:]:
+        Q.append(Q[-1] * math.exp(q))
+    return reference.walk(consume, panel.R[m], Q, (curve.tpx, curve.dq),
+                          reference_model(cfg))
 
 
 def history_from_factors(year0, q, S, e, n, b, o, h):

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import perturb, record_criterion
-from oracles import (asset_test_cutoff_oracle, pension_oracle,
-                     stationary_state)
+from conftest import perturb, record_criterion, reference, reference_dict
+from oracles import asset_test_cutoff_oracle, stationary_state
 from superdraw import esg
 from superdraw.account import PensionParams, age_pension
 from superdraw.baselines import StrategyKind, rollout_strategy
@@ -230,8 +229,9 @@ def test_criterion_1_summary(refit, request):
 
 
 # =====================================================================
-# Criterion 2: the pension formula agrees exactly with a branch-enumerated
-# oracle on 1e5 random pairs; anchor values; under a second.
+# Criterion 2: the pension formula agrees exactly with the reference's
+# branch-enumerated pension (bench/reference.py) on 1e5 random pairs;
+# anchor values; under a second.
 # =====================================================================
 
 
@@ -242,7 +242,8 @@ def test_criterion_2_pension_oracle(request):
     W = rng.uniform(0.0, 2.0e6, size=100_000)
     Q = np.exp(rng.uniform(0.0, 1.1, size=100_000))
     got = age_pension(W, Q, p)
-    want = np.array([pension_oracle(w, q, p) for w, q in zip(W, Q)])
+    ref = reference_dict(p)
+    want = np.array([reference.pension(w, q, ref)[0] for w, q in zip(W, Q)])
     exact = np.array_equal(got, want)
 
     full_at_zero = age_pension(0.0, 1.0, p) == 24_619.0

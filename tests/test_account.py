@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import asset_test_cutoff_oracle, pension_oracle
+from conftest import reference, reference_dict
+from oracles import asset_test_cutoff_oracle
 from superdraw import esg
 from superdraw.account import (AccountParams, PensionParams, age_pension,
                                fees, transition_balance)
@@ -105,7 +106,8 @@ def test_pension_matches_branch_oracle_exactly():
     W = rng.uniform(0.0, 1_000_000.0, size=100_000)
     Q = rng.uniform(0.5, 3.0, size=100_000)
     got = age_pension(W, Q, P)
-    want = np.array([pension_oracle(w, q, P) for w, q in zip(W, Q)])
+    p = reference_dict(P)
+    want = np.array([reference.pension(w, q, p)[0] for w, q in zip(W, Q)])
     assert np.array_equal(got, want)
 
 

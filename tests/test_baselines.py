@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import straight_line_objective
+from conftest import reference, reference_model, reference_walk
 from superdraw.baselines import (REAL_TARGETS, StrategyKind,
                                  deterministic_consumption,
                                  minimum_drawdown_rate, rollout_strategy,
@@ -104,23 +104,14 @@ def test_rollout_matches_straight_line_oracle():
     cfg = small_config(horizon=12)
     curve = cfg.curve()
     panel = synthetic_panel(2, cfg.horizon, seed=13)
-    def scalar_rule(kind, q_row):
-        def rule(t, W, A):
-            Q = float(np.exp(q_row[1:t + 1].sum()))
-            return float(deterministic_consumption(
-                kind, cfg.retirement_age + t, W, A, Q, cfg.w0))
-        return rule
-
-    for kind in (StrategyKind.MINIMUM, StrategyKind.FOUR_PERCENT,
-                 StrategyKind.LUXURY):
+    model = reference_model(cfg)
+    for kind in StrategyKind:
+        rule = reference.strategy_rule(kind.value, model)
         for m in range(panel.M):
             total, rec = rollout_strategy(kind, panel.take([m]), curve, cfg,
                                           record=True)
-            want = straight_line_objective(
-                scalar_rule(kind, panel.q[m]), cfg.w0, cfg.pension,
-                cfg.account, cfg.effective_utility(), curve,
-                panel.R[m], panel.q[m])
-            assert total[0] == pytest.approx(want, rel=1e-12)
+            want = reference_walk(rule, panel, m, cfg, curve)[0]
+            assert total[0] == pytest.approx(want, rel=1e-12), kind
             assert rec.consumption[0].shape == (cfg.horizon + 1,)
             assert np.all(rec.wealth[0] >= 0.0)
 

@@ -293,6 +293,21 @@ def test_train_nonfinite_wealth_from_esg_coefficients(tmp_path, capsys):
         "step_size,depleted"]
 
 
+def _run_at_mean_inflation(tmp_path, command, mu_q):
+    """Exit code of `command` on 16 paths with `[esg] mu_q` set, writing to
+    `tmp_path / "out"`; `evaluate` reads a run trained at the default ESG."""
+    train = "[train]\nm_train = 16\niterations = 0\nbatch_size = 8\n" \
+            "seed = 5\nlog_every = 1\n"
+    argv = [command, "--out", tmp_path / "out", "--config", write_config(
+        tmp_path / "cfg.ini", train + f"[esg]\nmu_q = {mu_q}\n")]
+    if command == "evaluate":
+        ckpt = tmp_path / "run"
+        assert run(["train", "--config", write_config(
+            tmp_path / "base.ini", train), "--out", ckpt]) == 0
+        argv += ["--checkpoint", ckpt / "checkpoints", "--m-test", 40]
+    return run(argv)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["simulate", "train", "evaluate"])
 def test_overflowing_deflator_exits_4_before_any_output(tmp_path, capsys,
@@ -300,19 +315,24 @@ def test_overflowing_deflator_exits_4_before_any_output(tmp_path, capsys,
     # Mean inflation of 30 a year passes the config checks, but over the
     # default 41-year horizon the deflator Q = exp(q_1 + ... + q_t) passes
     # float range in year 24; R stays finite.
-    train = "[train]\nm_train = 16\niterations = 0\nbatch_size = 8\n" \
-            "seed = 5\nlog_every = 1\n"
-    argv = [command, "--out", tmp_path / "out", "--config",
-            write_config(tmp_path / "cfg.ini", train + "[esg]\nmu_q = 30\n")]
-    if command == "evaluate":
-        ckpt = tmp_path / "run"
-        assert run(["train", "--config", write_config(
-            tmp_path / "base.ini", train), "--out", ckpt]) == 0
-        argv += ["--checkpoint", ckpt / "checkpoints", "--m-test", 40]
-    assert run(argv) == 4
+    assert _run_at_mean_inflation(tmp_path, command, 30) == 4
     assert "numeric error: non-finite Q in simulated panel" in \
         capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "train", "evaluate"])
+def test_underflowing_deflator_exits_4_before_any_output(tmp_path, capsys,
+                                                         command):
+    # At -30 a year Q falls below the smallest float in year 25: 0.0 is a
+    # numeric error like its overflow, not a bad deflator in the data.
+    assert _run_at_mean_inflation(tmp_path, command, -30) == 4
+    err = capsys.readouterr().err
+    assert "numeric error: deflator Q underflowed to 0 in simulated panel" \
+        in err
+    assert "RuntimeWarning" not in err
+    _assert_no_helper_left(tmp_path / "out", None)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

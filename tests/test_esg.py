@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import history_from_factors, history_from_panel
-from oracles import esg_year_oracle, path_shocks_oracle, stationary_state
+from conftest import (history_from_factors, history_from_panel, reference,
+                      reference_dict)
+from oracles import path_shocks_oracle, stationary_state
 from superdraw import _csvblock, esg
 from superdraw.errors import ConfigError, DataError, NumericError
 from superdraw.esg import DEFAULT_PARAMS, EconState, EsgParams
@@ -161,14 +162,21 @@ def test_simulate_shocks_match_per_path_philox(seed, T):
 
 
 def test_simulate_matches_esg_year_oracle(monkeypatch):
-    # Every factor, s, R and Q of the panel against the equations written
-    # out year by year, fed the panel's own scaled shocks. 1,031 paths are
-    # two whole blocks of 512 and a part block of 7; blocks of 3 paths
+    # Every factor, S, s, R and Q of the panel against the reference's
+    # paths (bench/reference.py `esg_path`: the equations written out year
+    # by year on its own draw of each path's shocks), from the bundled
+    # history's last year, the one start the reference knows. 1,031 paths
+    # are two whole blocks of 512 and a part block of 7; blocks of 3 paths
     # leave 2 in the last. A path is the same bits whatever the block size,
     # and path 0 the same as in a one-path panel.
-    init = stationary_state(DEFAULT_PARAMS)
+    init = TrainConfig().initial_econ_state()
     T, seed = 6, 11
     one = esg.simulate(DEFAULT_PARAMS, init, M=1, T=T, seed=seed)
+    paths = [reference.esg_path(reference_dict(DEFAULT_PARAMS), seed, m, T,
+                                omega=0.7) for m in range(1031)]
+    want = {k: np.array([path[k] for path in paths])
+            for k in (*FACTORS, "s", "R", "Q")}
+    want["s - q"] = want.pop("S")
     for M, block in ((5, esg.SIM_BLOCK), (1031, esg.SIM_BLOCK), (1031, 3)):
         with monkeypatch.context() as mp:
             mp.setattr(esg, "SIM_BLOCK", M)
@@ -178,19 +186,11 @@ def test_simulate_matches_esg_year_oracle(monkeypatch):
         for k in _PANEL_COLS:
             assert getattr(panel, k).tobytes() == getattr(whole, k).tobytes()
             assert getattr(panel, k)[:1].tobytes() == getattr(one, k).tobytes()
-        eps = esg._path_shocks(DEFAULT_PARAMS, seed, range(M), T)
-        for m in range(M):
-            state = {k: getattr(init, k) for k in FACTORS}
-            Q = 1.0
-            for t in range(1, T + 1):
-                state = esg_year_oracle(DEFAULT_PARAMS, state, eps[m, t - 1])
-                Q *= np.exp(state["q"])
-                for k in ("q", "e", "n", "b", "o", "h", "s", "R"):
-                    assert getattr(panel, k)[m, t] == pytest.approx(
-                        state[k], abs=1e-14), (M, block, m, t, k)
-                assert panel.s[m, t] - panel.q[m, t] == pytest.approx(
-                    state["S"], abs=1e-14)
-                assert panel.Q[m, t] == pytest.approx(Q, abs=1e-14)
+        got = {k: getattr(panel, k) for k in _PANEL_COLS}
+        got["s - q"] = panel.s - panel.q
+        for k, col in got.items():
+            np.testing.assert_allclose(col, want[k][:M], rtol=0, atol=1e-14,
+                                       err_msg=f"{M} {block} {k}")
 
 
 @pytest.mark.parametrize("M", [1, 39, 40, 1031])

@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -12,21 +11,10 @@ from collections import Counter
 from pathlib import Path
 
 import superdraw
-
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-
-
-def _bench_spans(monkeypatch):
-    """The benchmark's tracer module, imported from its file without
-    writing bytecode next to it."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from conftest import BENCH, load_bench
 
 
-def test_every_public_name_resolves(monkeypatch):
+def test_every_public_name_resolves():
     # Per-layer tracing wraps each module's `__all__` by name, so a name
     # left behind by a deletion would break every traced run.
     for info in pkgutil.iter_modules(superdraw.__path__):
@@ -36,7 +24,7 @@ def test_every_public_name_resolves(monkeypatch):
     # It also wraps a few functions outside `__all__` and a few methods,
     # each looked up in its own class's `__dict__`: a method moved to a
     # subclass or deleted raises KeyError in every traced run.
-    spans = _bench_spans(monkeypatch)
+    spans = load_bench("spans")
     mods = {m: importlib.import_module(f"superdraw.{m}")
             for m in spans.MODULES}
     for short, names in spans.EXTRA_FUNCTIONS.items():
@@ -73,7 +61,7 @@ def test_every_public_name_has_a_caller():
     # (or a helper) the program never runs; it belongs in tests/.
     root = Path(superdraw.__file__).resolve().parent
     uses = Counter()
-    for path in [*root.glob("*.py"), *SPANS.parent.glob("*.py")]:
+    for path in [*root.glob("*.py"), *BENCH.glob("*.py")]:
         uses += _name_uses(path)
     unused = []
     for info in pkgutil.iter_modules(superdraw.__path__):
@@ -97,6 +85,31 @@ def test_only_csvblock_imports_csv():
                  if any(map(imports_csv, ast.walk(ast.parse(
                      path.read_text()))))]
     assert importers == ["_csvblock"]
+
+
+def _superdraw_imports(path: Path) -> list:
+    """Every `superdraw` module or name an import statement of `path`
+    names, at any depth, function bodies included."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names += [f"{node.module}.{a.name}" for a in node.names]
+    return sorted(n for n in names if n.split(".")[0] == "superdraw")
+
+
+def test_references_share_no_formula_code_with_the_package():
+    # A check that calls the code it checks moves with it: with a wrong
+    # exponent in `utility._crra` on both sides, the two agree. The
+    # benchmark's reference imports nothing from the package, and the test
+    # oracles only its error types and the ESG state they return.
+    root = BENCH.parent
+    assert _superdraw_imports(BENCH / "reference.py") == []
+    allowed = ("superdraw.errors", "superdraw.esg.EconState")
+    assert [n for n in _superdraw_imports(root / "tests" / "oracles.py")
+            if not any(n == a or n.startswith(a + ".") for a in allowed)] \
+        == []
 
 
 def test_benchmark_selftest_passes():

@@ -1,8 +1,9 @@
 """Rollout engine and training loop tests.
 
-The rollout engine is checked three ways: against a plain-float single-path
-evaluator (tests/oracles.py), against the utility module on recorded paths,
-and the training objective against numpy mode with identical weights.
+The rollout engine is checked against the plain-float single-path walk of
+the independent reference (bench/reference.py), on its objective and on its
+recorded consumption, and the training objective against numpy mode with
+identical weights.
 Gradients of the full multi-year recursion (the adjoint sweep) are checked
 against central finite differences with kink-adjacent coordinates excluded
 by a two-step-size consistency filter.
@@ -13,8 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import map_params, perturb
-from oracles import lifetime_utility_oracle, straight_line_objective
+from conftest import map_params, perturb, reference_walk
 from superdraw import trainer
 from superdraw.account import AccountParams, PensionParams, age_pension
 from superdraw.errors import ConfigError, NumericError
@@ -67,10 +67,8 @@ def test_engine_matches_straight_line_oracle():
 
     total, _ = rollout_consume(rule, panel, curve, cfg)
     for m in range(panel.M):
-        want = straight_line_objective(
-            lambda t, W, A: 0.6 * (W + A), cfg.w0, cfg.pension, cfg.account,
-            cfg.effective_utility(), curve,
-            panel.R[m], panel.q[m])
+        want = reference_walk(lambda t, W, A, R, Q: (0.6 * (W + A), None),
+                              panel, m, cfg, curve)[0]
         assert total[m] == pytest.approx(want, rel=1e-12)
 
 
@@ -80,11 +78,12 @@ def test_engine_matches_lifetime_utility_on_records():
     panel = synthetic_panel(4, cfg.horizon, seed=3)
     rule = lambda t, W, A, R, Q: 0.5 * (W + A)
     total, rec = rollout_consume(rule, panel, curve, cfg, record=True)
-    up = cfg.effective_utility()
     for m in range(panel.M):
-        lu = lifetime_utility_oracle(rec.consumption[m], rec.wealth[m], curve,
-                                     up)
+        lu, consumption, _ = reference_walk(
+            lambda t, W, A, R, Q: (0.5 * (W + A), None), panel, m, cfg, curve)
         assert total[m] == pytest.approx(lu, rel=1e-12)
+        np.testing.assert_allclose(rec.consumption[m], consumption,
+                                   rtol=1e-12)
 
 
 def test_single_year_horizon_is_one_term():

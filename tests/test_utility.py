@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lifetime_utility_oracle
-from superdraw.errors import ConfigError, DataError
-from superdraw.mortality import SurvivalCurve
+from conftest import reference, reference_dict
+from superdraw.account import AccountParams, PensionParams
+from superdraw.errors import ConfigError
 from superdraw.utility import (UtilityParams, bequest_coefficient,
                                bequest_utility, consumption_utility)
 
@@ -13,11 +13,23 @@ P5 = UtilityParams(rho=5.0, phi=0.5)
 P2 = UtilityParams(rho=2.0, phi=0.5)
 
 
-def curve_from_tpx(tpx):
-    tpx = np.asarray(tpx, dtype=float)
-    dq = np.zeros_like(tpx)
-    dq[1:] = tpx[:-1] - tpx[1:]
-    return SurvivalCurve(tpx=tpx, dq=dq)
+def walk_schedule(c, tpx, params, w0=0.0, R=None):
+    """Lifetime utility of the reference's walk (bench/reference.py) when
+    it consumes c[t] each year with no pension, no fees and Q = 1, from
+    wealth w0 with log-returns R (zero by default)."""
+    tpx = [float(x) for x in tpx]
+    dq = [0.0] + [a - b for a, b in zip(tpx, tpx[1:])]
+    no_fees = AccountParams(admin_fee=0.0, indirect_cost_ratio=0.0,
+                            investment_fee=0.0)
+    model = reference.Model(
+        esg={}, pension={**reference_dict(PensionParams()), "a_max": 0.0},
+        account=reference_dict(no_fees),
+        rho=params.rho, phi=params.phi, floor=params.floor_epsilon,
+        unit=params.wealth_unit, w0=w0, horizon=len(tpx) - 1,
+        retirement_age=67, gender="male")
+    return reference.walk(lambda t, W, A, R, Q: (c[t], None),
+                          [0.0] * len(tpx) if R is None else R,
+                          [1.0] * len(tpx), (tpx, dq), model)[0]
 
 
 def test_params_validation():
@@ -80,9 +92,8 @@ def test_wealth_unit_is_positive_rescaling():
 
 def test_lifetime_pure_consumption_sum():
     p = UtilityParams(rho=5.0, phi=0.0)
-    c = np.array([10.0, 20.0, 30.0])
-    curve = curve_from_tpx([1.0, 1.0, 1.0])
-    assert lifetime_utility_oracle(c, np.zeros(3), curve, p) == pytest.approx(
+    c = [10.0, 20.0, 30.0]
+    assert walk_schedule(c, [1.0, 1.0, 1.0], p) == pytest.approx(
         sum(consumption_utility(x, p) for x in c))
 
 
@@ -90,31 +101,23 @@ def test_lifetime_geometric_survival_closed_form():
     p = UtilityParams(rho=5.0, phi=0.0)
     surv = 0.8
     T = 5
-    curve = curve_from_tpx(surv ** np.arange(T + 1))
-    c = np.full(T + 1, 7.0)
-    want = consumption_utility(7.0, p) * (surv ** np.arange(T + 1)).sum()
-    assert lifetime_utility_oracle(c, np.zeros(T + 1), curve, p) == \
-        pytest.approx(want)
+    tpx = surv ** np.arange(T + 1)
+    want = consumption_utility(7.0, p) * tpx.sum()
+    assert walk_schedule([7.0] * (T + 1), tpx, p) == pytest.approx(want)
 
 
 def test_lifetime_bequest_weighting():
-    c = np.array([1.0, 1.0])
-    w = np.array([3.0, 2.0])
-    curve = curve_from_tpx([1.0, 0.6])
-    got = lifetime_utility_oracle(c, w, curve, P5)
+    # Wealth 3 at t = 0, less the 1 consumed, is 2 at t = 1.
+    c = [1.0, 1.0]
+    got = walk_schedule(c, [1.0, 0.6], P5, w0=3.0)
     want = (1.0 * consumption_utility(1.0, P5)
             + 0.6 * consumption_utility(1.0, P5)
             + 0.4 * bequest_utility(2.0, P5))
     assert got == pytest.approx(want)
     # dq[0] = 0: initial wealth never counts as a bequest.
-    w2 = np.array([1e9, 2.0])
-    assert lifetime_utility_oracle(c, w2, curve, P5) == pytest.approx(want)
-
-
-def test_lifetime_length_mismatch():
-    curve = curve_from_tpx([1.0, 0.9])
-    with pytest.raises(DataError):
-        lifetime_utility_oracle(np.ones(3), np.ones(3), curve, P5)
+    R = [0.0, np.log(2.0 / (1e9 - 1.0))]
+    assert walk_schedule(c, [1.0, 0.6], P5, w0=1e9, R=R) == \
+        pytest.approx(want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -130,19 +133,6 @@ def test_utilities_negative_for_rho_above_one(c, rho):
 def test_consumption_utility_monotone(c1, c2):
     lo, hi = sorted((c1, c2))
     assert consumption_utility(hi, P5) >= consumption_utility(lo, P5)
-
-
-def test_lifetime_monotone_in_single_entry():
-    curve = curve_from_tpx([1.0, 0.7, 0.5])
-    c = np.array([100.0, 100.0, 100.0])
-    w = np.array([50.0, 50.0, 50.0])
-    base = lifetime_utility_oracle(c, w, curve, P5)
-    c_up = c.copy()
-    c_up[1] += 10.0
-    assert lifetime_utility_oracle(c_up, w, curve, P5) > base
-    w_up = w.copy()
-    w_up[2] += 10.0
-    assert lifetime_utility_oracle(c, w_up, curve, P5) > base
 
 
 def test_tensor_mode_gradient():
