@@ -5,8 +5,9 @@ checked against `bench/reference.py`, through the adapter in
 `tests/conftest.py`. What is left here has no counterpart there: the
 asset-test cutoff, the ESG stationary state, each path's scaled shocks,
 the kernel density and the logistic function. They deliberately avoid the
-library's formula code and import only `superdraw.esg.EconState`, to
-return a state (tests/test_package.py checks that).
+library's formula code: from the package they may import only its error
+types (`superdraw.errors`) and `superdraw.esg.EconState`, to return a
+state (tests/test_package.py checks that).
 """
 
 import numpy as np

@@ -2,7 +2,8 @@
 
 The rollout engine is checked against the plain-float single-path walk of
 the independent reference (bench/reference.py), on its objective and on its
-recorded consumption, and the training objective against numpy mode with
+recorded consumption; its recorded consumption and wealth add up to its
+objective; and the training objective is checked against numpy mode with
 identical weights.
 Gradients of the full multi-year recursion (the adjoint sweep) are checked
 against central finite differences with kink-adjacent coordinates excluded
@@ -29,7 +30,8 @@ from superdraw.trainer import (AdamState, PathRecords, TrainConfig,
                                network_consumer, rollout, rollout_consume,
                                train)
 from superdraw.esg import ScenarioPanel
-from superdraw.utility import UtilityParams
+from superdraw.utility import (UtilityParams, bequest_utility,
+                               consumption_utility)
 
 
 def synthetic_panel(M, T, seed=0, r_scale=0.1, q_scale=0.02):
@@ -78,12 +80,20 @@ def test_engine_matches_lifetime_utility_on_records():
     panel = synthetic_panel(4, cfg.horizon, seed=3)
     rule = lambda t, W, A, R, Q: 0.5 * (W + A)
     total, rec = rollout_consume(rule, panel, curve, cfg, record=True)
+    up = cfg.effective_utility()
+    assert up.phi > 0.0
     for m in range(panel.M):
         lu, consumption, _ = reference_walk(
             lambda t, W, A, R, Q: (0.5 * (W + A), None), panel, m, cfg, curve)
         assert total[m] == pytest.approx(lu, rel=1e-12)
         np.testing.assert_allclose(rec.consumption[m], consumption,
                                    rtol=1e-12)
+        # The records (real dollars, the year they belong to) add up to the
+        # objective: the bequest term ties the wealth records to it.
+        on_records = (np.sum(curve.tpx * consumption_utility(
+                          rec.consumption[m], up))
+                      + np.sum(curve.dq * bequest_utility(rec.wealth[m], up)))
+        assert total[m] == pytest.approx(on_records, rel=1e-12)
 
 
 def test_single_year_horizon_is_one_term():
@@ -93,7 +103,6 @@ def test_single_year_horizon_is_one_term():
     total, rec = rollout_consume(lambda t, W, A, R, Q: 30_000.0 + 0.0 * W,
                                  panel, curve, cfg, record=True)
     up = cfg.effective_utility()
-    from superdraw.utility import consumption_utility
     assert total[0] == pytest.approx(consumption_utility(30_000.0, up))
     assert rec.wealth.shape == (1, 1)
 
