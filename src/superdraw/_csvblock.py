@@ -36,16 +36,13 @@ turn into the text. Each row then is a run of 8-byte stores into a byte
 buffer at ascending addresses, each store's tail overwritten by the next.
 The kernel's arrays are reused from block to block of one file.
 
-Formatting holds the interpreter lock, so a file's second part (`tail`)
-can be formatted by a forked helper process into an unlinked temporary
-file while this process formats the first part, and is then appended.
-Both processes run the same block loop, so the bytes are those of writing
-every section in one process, which is what happens when `os.fork` is
-missing or fewer than two CPUs are usable. The same fork, kill and reap
-(`_helper`) also serve other work that one process can hand to a second
-CPU. `evaluate`'s helper takes no file: it simulates half of the held-out
-panel and rolls the snapshot policies, with BLAS matrix products, into a
-shared anonymous mapping.
+Formatting holds the interpreter lock, so a second CPU helps only in
+another process. `write_csv` itself never forks: its `append` argument
+hands it rows that a forked helper formatted into a temporary file, which
+it copies in after its own sections. `_helper` is the package's one fork,
+kill and reap; `esg.panel_halves` is its one caller, which serves
+`simulate` (the helper formats the second half of the panel's rows) and
+`evaluate` (the helper rolls the snapshot policies).
 """
 from __future__ import annotations
 
@@ -57,8 +54,6 @@ import os
 import re
 import shutil
 import signal
-import tempfile
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -116,6 +111,12 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:      # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def second_cpu() -> bool:
+    """Whether a forked helper can run beside this process: `os.fork`
+    exists and at least two CPUs are usable."""
+    return hasattr(os, "fork") and _usable_cpus() >= 2
 
 
 def _write_rows(fh, sections) -> None:
@@ -485,40 +486,26 @@ def _helper(work):
             os.waitpid(pid, 0)
 
 
-def write_csv(path, header: str, sections, tail=()) -> None:
-    """Write the `header` line, then each (row, blocks) pair of `sections`
-    and then of `tail`: every (rows, fields) array that `blocks` yields, as
-    the %-template `row` filled per row. `%d` takes integral floats as well.
+def write_csv(path, header: str, sections, append=None) -> None:
+    """Write the `header` line, then each (row, blocks) pair of `sections`:
+    every (rows, fields) array that `blocks` yields, as the %-template `row`
+    filled per row. `%d` takes integral floats as well.
 
-    With `os.fork` and two usable CPUs, `tail` is formatted by a helper
-    process into an unlinked temporary file next to `path`, at the same
-    time as `sections`, and appended: byte for byte what one process
-    writes. A failure on either side kills and reaps the helper and removes
-    the partial file.
+    `append`, if given, is called once the sections are written and
+    returns a binary file whose bytes, from its start, end the file: rows
+    that a helper process formatted by the same block loop. A failure,
+    `append`'s included, removes the partial file.
     """
-    split = bool(tail) and hasattr(os, "fork") and _usable_cpus() >= 2
-
-    def fill(tmp):
-        with open(tmp.fileno(), "w", newline="", closefd=False) as out:
-            _write_rows(out, tail)
-
     fh = open(path, "w", newline="")
     try:
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(fh)
-            if split:
-                tmp = stack.enter_context(
-                    tempfile.TemporaryFile(dir=Path(path).parent))
-                reap = stack.enter_context(_helper(lambda: fill(tmp)))
+        with fh:
             fh.write(header)
             _write_rows(fh, sections)
-            if split:
-                reap()
+            if append is not None:
+                rest = append()
                 fh.flush()
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, fh.buffer, 1 << 20)
-            else:
-                _write_rows(fh, tail)
+                rest.seek(0)
+                shutil.copyfileobj(rest, fh.buffer, 1 << 20)
     except BaseException:
         os.unlink(path)
         raise

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -178,9 +179,12 @@ def cmd_simulate(args) -> int:
                              params_file=args.params)
     m = 1_000 if args.m is None else args.m
     T = cfg.horizon if args.t is None else args.t
-    panel = cfg.panel(m, cfg.seed, T, factors=True)  # checked before writes
-    out = _out_dir(args)
-    esg_mod.panel_to_csv(panel, out / "panel.csv")
+    # A helper simulates paths [m // 2, m) and formats their rows while this
+    # process does the first half; the panel is checked before any write.
+    with esg_mod.panel_for_csv(functools.partial(cfg.panel, seed=cfg.seed,
+                                                 T=T), m, T) as (panel, tail):
+        out = _out_dir(args)
+        esg_mod.panel_to_csv(panel, out / "panel.csv", tail)
     _echo_config(cfg, out, {"command": "simulate", "m": m, "t": T})
     print(f"wrote {out / 'panel.csv'}: {m} paths x {T + 1} years, "
           f"seed {cfg.seed}")

@@ -17,7 +17,9 @@ of the panel's path-major (M, T + 1) columns. Its working memory is the
 columns it keeps plus one block, and neither the block size nor the
 columns kept change a bit of the panel. It can also fill a run of rows of
 a larger panel's columns (`first`, `out`), so that two processes can each
-simulate part of one panel.
+simulate part of one panel: `panel_halves` forks a helper that simulates
+the second half of a panel in a shared mapping and then runs a job of its
+caller's, for `simulate` the CSV rows of that half (`panel_for_csv`).
 
 The module covers three jobs: simulating the model with one
 counter-based random stream per path, refitting the coefficients from an
@@ -27,11 +29,17 @@ for the fit.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import mmap
+import os
+import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import _csvblock
 from ._csvblock import BLOCK_ROWS, read_table, write_csv
 from .errors import ConfigError, DataError, NumericError
 
@@ -46,6 +54,7 @@ __all__ = [
     "bundled_history_path",
     "check_panel_size",
     "simulate",
+    "panel_halves",
     "portfolio_return",
     "calibrate",
     "residual_diagnostics",
@@ -54,6 +63,7 @@ __all__ = [
     "initial_state_from_history",
     "save_params",
     "load_params",
+    "panel_for_csv",
     "panel_to_csv",
 ]
 
@@ -168,6 +178,9 @@ class HistoricalSeries:
 
 _FACTOR_COLUMNS = ("q", "s", "e", "n", "b", "o", "h")
 _PANEL_COLUMNS = _FACTOR_COLUMNS + ("R", "Q")
+# A NumericError's message, passed from a helper to this process, in at
+# most this many bytes: a pipe write of up to 512 bytes is atomic.
+_NOTE_BYTES = 512
 
 
 @dataclass
@@ -361,6 +374,92 @@ def simulate(params: EsgParams, initial: EconState, M: int, T: int, seed: int,
                          factors=cols)
 
 
+@contextlib.contextmanager
+def panel_halves(make, M: int, T: int, factors: bool = False, job=None,
+                 shape: tuple = (0,)):
+    """Simulate an M-path panel over T years in two halves, the second by
+    a forked helper that then runs `job`.
+
+    `make(n, factors=, first=, out=)` simulates paths first .. first + n - 1
+    into `out`, which maps each kept column to its rows of the panel's
+    column, as `simulate` does with these arguments; a path is the same
+    whichever process draws it. The panel's R, Q and, with `factors`, its
+    seven factor columns sit in one shared anonymous mapping, followed by
+    an array of `shape` for `job`'s results.
+
+    With a `job`, a helper is forked before the panel exists. This process
+    simulates paths [0, M // 2) while the helper simulates [M // 2, M) and
+    then writes one byte to a pipe. End of file without it means the helper
+    failed and printed why; this process then fills that half itself. A
+    NumericError in the helper's half is passed back through the pipe
+    instead, and this process raises it as its own once its own half is
+    filled. Only when the whole panel is filled does this process send the
+    helper a byte, and the helper then runs `job(panel, shared)`. Without a
+    `job`, this process fills both halves by the same steps.
+
+    Yields (panel, shared, finish). `finish` is None when no helper runs
+    `job`: without a `job`, or when the helper failed its half. Otherwise
+    `finish()` waits for the helper, and raises OSError if `job` failed
+    there. A helper still running when the block ends is killed and
+    reaped; the mapping is unmapped when the last array over it is freed.
+    """
+    check_panel_size(M, T)
+    kept = _PANEL_COLUMNS if factors else ("R", "Q")
+    cells = M * (T + 1)
+    buf = mmap.mmap(-1, 8 * (len(kept) * cells + math.prod(shape)))
+    cols = {k: np.ndarray((M, T + 1), buffer=buf, offset=8 * i * cells)
+            for i, k in enumerate(kept)}
+    shared = np.ndarray(shape, buffer=buf, offset=8 * len(kept) * cells)
+    half = M // 2
+
+    def fill(m0, m1):
+        if m0 < m1:
+            make(m1 - m0, factors=factors, first=m0,
+                 out={k: c[m0:m1] for k, c in cols.items()})
+
+    def whole():
+        return ScenarioPanel(M=M, T=T, R=cols["R"], Q=cols["Q"],
+                             factors={k: cols[k] for k in kept
+                                      if k in _FACTOR_COLUMNS})
+
+    with contextlib.ExitStack() as stack:
+        if job is not None:
+            ready, go = os.pipe(), os.pipe()    # from and to the helper
+            stack.callback(os.close, ready[0])
+            stack.callback(os.close, go[1])
+
+            def helper():
+                os.close(ready[0])
+                os.close(go[1])
+                try:
+                    fill(half, M)
+                except NumericError as exc:
+                    # This process raises it; the helper ends quietly.
+                    os.write(ready[1], b"N" + str(exc).encode()[:_NOTE_BYTES])
+                    return
+                os.write(ready[1], b"!")
+                if os.read(go[0], 1):
+                    job(whole(), shared)
+
+            try:
+                reap = stack.enter_context(_csvblock._helper(helper))
+            finally:
+                os.close(ready[1])
+                os.close(go[0])
+        fill(0, half)
+        note = b"" if job is None else os.read(ready[0], 1 + _NOTE_BYTES)
+        if note[:1] == b"N":
+            raise NumericError(note[1:].decode(errors="replace"))
+        helped = note == b"!"
+        if not helped:
+            fill(half, M)
+        panel = whole()
+        if helped:
+            with contextlib.suppress(BrokenPipeError):
+                os.write(go[1], b"!")
+        yield panel, shared, reap if helped else None
+
+
 # -------------------------------------------------------------- calibration
 
 
@@ -498,24 +597,19 @@ def load_params(path) -> EsgParams:
     return EsgParams(**values)
 
 
-def panel_to_csv(panel: ScenarioPanel, path) -> None:
-    """Write the panel as CSV text, one row per path and year.
+_PANEL_HEADER = "path,t," + ",".join(_PANEL_COLUMNS) + "\r\n"
+_PANEL_ROW = "%d,%d," + ",".join(["%.10g"] * len(_PANEL_COLUMNS)) + "\r\n"
 
-    The header is `path,t,q,s,e,n,b,o,h,R,Q`, so the panel must hold the
-    factor columns; one of R and Q only raises AttributeError before the
-    file is created. Rows run over t = 0..T within each path, paths in
-    order. `path` and `t` are integers and every column value is formatted
-    as `%.10g`; lines end in CRLF, as `csv.writer` writes them. With two
-    or more paths, paths [M // 2, M) are the file's `tail`: on a machine
-    with two usable CPUs a forked helper formats them while this process
-    formats the first half, and the file is byte-identical to one written
-    by a single process.
-    """
+
+def _panel_sections(panel: ScenarioPanel, m_start: int, m_stop: int):
+    """The `write_csv` sections of paths [m_start, m_stop) of the panel.
+    Reading the columns here raises AttributeError for a panel of R and Q
+    only, before any file is written."""
     columns = [getattr(panel, c) for c in _PANEL_COLUMNS]
     years = np.arange(panel.T + 1)
     step = max(1, BLOCK_ROWS // (panel.T + 1))
 
-    def blocks(m_start, m_stop):
+    def blocks():
         for m0 in range(m_start, m_stop, step):
             m1 = min(m0 + step, m_stop)
             cols = [c[m0:m1] for c in columns]
@@ -523,8 +617,57 @@ def panel_to_csv(panel: ScenarioPanel, path) -> None:
                                                  years), *cols],
                            axis=-1).reshape(-1, 2 + len(cols))
 
-    row = "%d,%d," + ",".join(["%.10g"] * len(_PANEL_COLUMNS)) + "\r\n"
-    half = panel.M // 2 if panel.M >= 2 else panel.M
-    write_csv(path, "path,t," + ",".join(_PANEL_COLUMNS) + "\r\n",
-              [(row, blocks(0, half))],
-              [(row, blocks(half, panel.M))] if half < panel.M else ())
+    return [(_PANEL_ROW, blocks())]
+
+
+@contextlib.contextmanager
+def panel_for_csv(make, M: int, T: int):
+    """The nine-column panel of `make` (see `panel_halves`), with the rows
+    of paths [M // 2, M) formatted by the helper for `panel_to_csv`.
+
+    Yields (panel, tail) for `panel_to_csv(panel, path, tail)`. Where a
+    helper can run (`_csvblock.second_cpu`) and M >= 2, it writes those
+    rows into an unlinked temporary file, opened before the fork in the
+    system's temporary directory, while this process writes the first
+    half. Otherwise, or if the helper failed its half of the panel, `tail`
+    is None and `panel_to_csv` writes every row in this process: the same
+    bytes.
+    """
+    job = None
+    with contextlib.ExitStack() as stack:
+        if M >= 2 and _csvblock.second_cpu():
+            tmp = stack.enter_context(tempfile.TemporaryFile())
+
+            def job(panel, _):
+                with open(tmp.fileno(), "w", newline="",
+                          closefd=False) as fh:
+                    _csvblock._write_rows(fh, _panel_sections(panel, M // 2,
+                                                              M))
+
+        panel, _, finish = stack.enter_context(
+            panel_halves(make, M, T, factors=True, job=job))
+
+        def tail():
+            finish()
+            return tmp
+
+        yield panel, None if finish is None else tail
+
+
+def panel_to_csv(panel: ScenarioPanel, path, tail=None) -> None:
+    """Write the panel as CSV text, one row per path and year.
+
+    The header is `path,t,q,s,e,n,b,o,h,R,Q`, so the panel must hold the
+    factor columns; one of R and Q only raises AttributeError before the
+    file is created. Rows run over t = 0..T within each path, paths in
+    order. `path` and `t` are integers and every column value is formatted
+    as `%.10g`; lines end in CRLF, as `csv.writer` writes them.
+
+    `tail`, from `panel_for_csv`, returns the rows of paths [M // 2, M)
+    that its helper formatted: this process then writes only the first
+    half and appends them, and the file is byte-identical to one written
+    by a single process. A helper that failed there is an OSError, and the
+    partial file is removed.
+    """
+    half = panel.M if tail is None else panel.M // 2
+    write_csv(path, _PANEL_HEADER, _panel_sections(panel, 0, half), tail)

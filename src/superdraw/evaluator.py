@@ -10,8 +10,7 @@ consumption and wealth paths.
 from __future__ import annotations
 
 import contextlib
-import mmap
-import os
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import _csvblock
 from ._csvblock import BLOCK_ROWS, literal, write_csv
 from .baselines import rollout_strategy
 from .errors import ConfigError
-from .esg import ScenarioPanel, check_panel_size
+from .esg import ScenarioPanel, panel_halves
 from .mortality import SurvivalCurve
 from .policy import MlpParams
 from .trainer import (PathRecords, TrainConfig, network_consumer,
@@ -129,81 +128,35 @@ def snapshot_utilities(snapshots, panel: ScenarioPanel, cfg: TrainConfig,
 @contextlib.contextmanager
 def snapshots_in_helper(snapshots, cfg: TrainConfig, M: int, seed: int,
                         curve: SurvivalCurve, policy: MlpParams):
-    """Simulate the held-out panel `cfg.panel(M, seed)` with a forked
-    helper, which then runs `snapshot_utilities` while the block runs.
+    """The held-out panel `cfg.panel(M, seed)`, simulated in two halves by
+    `esg.panel_halves`, whose helper then runs `snapshot_utilities` into
+    the shared mapping while the block runs.
 
-    Yields (panel, rolled). The panel's R and Q sit in one shared anonymous
-    mapping. This process simulates paths [0, M // 2) into it while the
-    helper simulates [M // 2, M); a path is the same whichever process
-    draws it. The helper writes one byte to a pipe when its half is filled;
-    end of file without it means the helper failed, and this process then
-    fills that half itself. Only when the whole panel is filled and finite
-    does this process send the helper a byte, and the helper then rolls the
-    snapshots into the same mapping. `rolled()` waits for it and returns
-    their list.
-
-    No helper is forked where there is no `os.fork`, fewer than two usable
-    CPUs, or no snapshot to roll: this process fills both halves by the
-    same steps, and `rolled()` returns None. It also returns None when the
-    helper failed. The snapshots are then rolled in this process by
+    Yields (panel, rolled); `rolled()` waits for the helper and returns
+    the snapshots' utilities as a list. No helper is forked where there is
+    no `os.fork`, fewer than two usable CPUs, or no snapshot to roll, and
+    `rolled()` returns None then. It also returns None when the helper
+    failed. The snapshots are then rolled in this process by
     `outperformance_curve`, so a failure is raised there as it would be
-    without a helper. A non-finite R or Q raises NumericError from this
-    process. A helper still running when the block ends is killed and
-    reaped; the mapping is unmapped when the last array over it is freed.
+    without a helper.
     """
-    T = cfg.horizon
-    check_panel_size(M, T)
     rolls = sum(not _same(params, policy) for _, params in snapshots)
-    if not (hasattr(os, "fork") and _csvblock._usable_cpus() >= 2):
+    if not _csvblock.second_cpu():
         rolls = 0
-    cells = M * (T + 1)
-    buf = mmap.mmap(-1, 8 * (2 * cells + rolls * M))
-    R, Q, utilities = (np.ndarray(shape, buffer=buf, offset=8 * at)
-                       for shape, at in (((M, T + 1), 0),
-                                         ((M, T + 1), cells),
-                                         ((rolls, M), 2 * cells)))
-    half = M // 2
 
-    def fill(m0, m1):
-        if m0 < m1:
-            cfg.panel(m1 - m0, seed, first=m0,
-                      out={"R": R[m0:m1], "Q": Q[m0:m1]})
+    def roll(panel, utilities):
+        utilities[:] = snapshot_utilities(snapshots, panel, cfg, curve,
+                                          policy)
 
-    with contextlib.ExitStack() as stack:
-        if rolls:
-            ready, go = os.pipe(), os.pipe()    # from and to the helper
-            stack.callback(os.close, ready[0])
-            stack.callback(os.close, go[1])
-
-            def helper():
-                os.close(ready[0])
-                os.close(go[1])
-                fill(half, M)
-                os.write(ready[1], b"!")
-                if os.read(go[0], 1):
-                    utilities[:] = snapshot_utilities(
-                        snapshots, ScenarioPanel(M=M, T=T, R=R, Q=Q), cfg,
-                        curve, policy)
-
-            try:
-                reap = stack.enter_context(_csvblock._helper(helper))
-            finally:
-                os.close(ready[1])
-                os.close(go[0])
-        fill(0, half)
-        helped = bool(rolls) and os.read(ready[0], 1) == b"!"
-        if not helped:
-            fill(half, M)
-        panel = ScenarioPanel(M=M, T=T, R=R, Q=Q)
-        if helped:
-            with contextlib.suppress(BrokenPipeError):
-                os.write(go[1], b"!")
+    with panel_halves(functools.partial(cfg.panel, seed=seed), M,
+                      cfg.horizon, job=roll if rolls else None,
+                      shape=(rolls, M)) as (panel, utilities, finish):
 
         def rolled():
-            if not helped:
+            if finish is None:
                 return None
             try:
-                reap()
+                finish()
             except OSError:
                 return None
             return list(utilities.copy())

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -18,7 +19,16 @@ from superdraw.baselines import StrategyKind
 from superdraw.cli import main
 from superdraw.esg import DEFAULT_PARAMS, load_params
 from superdraw.trainer import TrainConfig
-from test_esg import _assert_no_helper_left, _count_forks
+from test_esg import _assert_no_helper_left
+
+
+def _count_forks(monkeypatch) -> list:
+    """Record each `os.fork` call in the returned list."""
+    forks = []
+    if hasattr(os, "fork"):
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
 
 
 def run(argv):
@@ -186,6 +196,129 @@ def test_simulate_params_file_takes_esg_keys_on_top(tmp_path):
              for name, out in outs.items()}
     assert panel["flag"] != panel["plain"]
     assert panel["flag"] == panel["key"]
+
+
+def _simulate_in_layout(tmp_path, monkeypatch, capfd, cpus, argv):
+    """(exit code, forks, captured output) of `simulate` with `argv` and
+    `cpus` usable CPUs. Temporary files go to `tmp_path / "tmp"`, which
+    must be empty afterwards."""
+    monkeypatch.setattr(_csvblock, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir(exist_ok=True)
+    forks = _count_forks(monkeypatch)
+    capfd.readouterr()
+    code = run(["simulate", *argv])
+    assert list((tmp_path / "tmp").iterdir()) == []
+    return code, len(forks), capfd.readouterr()
+
+
+# With two usable CPUs and at least two paths a helper simulates paths
+# [M // 2, M) and formats their rows; odd M splits unevenly, and 513 and
+# 1,031 paths cross a 512-path simulation block.
+@pytest.mark.parametrize("T", [2, 41])
+@pytest.mark.parametrize("M", [1, 2, 3, 513, 1031])
+def test_simulate_outputs_do_not_depend_on_the_layout(tmp_path, monkeypatch,
+                                                      capfd, M, T):
+    got = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus{cpus}"
+        code, forks, printed = _simulate_in_layout(
+            tmp_path, monkeypatch, capfd, cpus,
+            ["--m", M, "--t", T, "--seed", 2020, "--out", out])
+        assert code == 0
+        assert forks == (cpus == 2 and M >= 2 and hasattr(os, "fork"))
+        _assert_no_helper_left(out, ["config_used.ini", "panel.csv"])
+        got[cpus] = printed.out.replace(str(out), "OUT"), _files(out)
+    assert got[1] == got[2]
+    assert len(got[1][1]["panel.csv"].splitlines()) == 1 + M * (T + 1)
+
+
+def _one_bad_path(cfgp, seed, bad_path, M=40):
+    """Check that of M paths under config `cfgp` only `bad_path` raises."""
+    from superdraw.cli import _read_ini, build_train_config
+    from superdraw.errors import NumericError
+    cfg = build_train_config(_read_ini(cfgp))
+    for m in range(M):
+        if m == bad_path:
+            with pytest.raises(NumericError):
+                cfg.panel(1, seed, first=m)
+        else:
+            cfg.panel(1, seed, first=m)
+
+
+def _simulated_here(monkeypatch) -> list:
+    """Record (first, n) of each `esg.simulate` call in this process."""
+    from superdraw import esg
+    parent, real, calls = os.getpid(), esg.simulate, []
+
+    def recorded(*args, **kwargs):
+        if os.getpid() == parent:
+            calls.append((kwargs.get("first", 0), args[2]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(esg, "simulate", recorded)
+    return calls
+
+
+# Inflation of 88.5 a year with shocks of 3 passes float range in Q within
+# 8 years on one path alone: path 21 of seed 106, in the half [20, 40) that
+# a helper simulates, or path 11 of seed 99, in this process's half.
+NONFINITE_Q = "[esg]\nmu_q = 88.5\nsigma_q = 3\n"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("seed, bad_path", [(106, 21), (99, 11)])
+def test_simulate_nonfinite_deflator_in_one_half_exits_4(
+        tmp_path, monkeypatch, capfd, cpus, seed, bad_path):
+    # The helper's NumericError is raised here as this process's own: no
+    # line from the helper, and its half is not simulated again here.
+    cfgp = write_config(tmp_path / "cfg.ini", TINY_TRAIN + NONFINITE_Q)
+    _one_bad_path(cfgp, seed, bad_path)
+    here = _simulated_here(monkeypatch)
+    out = tmp_path / "out"
+    code, forks, printed = _simulate_in_layout(
+        tmp_path, monkeypatch, capfd, cpus,
+        ["--config", cfgp, "--m", 40, "--seed", seed, "--out", out])
+    assert code == 4
+    assert printed.err == "numeric error: non-finite Q in simulated panel\n"
+    assert forks == (cpus == 2 and hasattr(os, "fork"))
+    if forks:
+        assert all(first + n <= 20 for first, n in here)
+    _assert_no_helper_left(out, None)
+
+
+@pytest.mark.parametrize("side, cpus", [("helper", 2), ("parent", 2),
+                                        ("parent", 1)])
+def test_simulate_write_failure_on_either_side_leaves_nothing(
+        tmp_path, monkeypatch, capfd, side, cpus):
+    # A write that fails in the helper reaches this process as OSError;
+    # one that fails here kills a helper still busy (here for a minute)
+    # instead of waiting for it. Either way the command exits 5, the helper
+    # is reaped, and neither a partial panel.csv nor a temporary file is
+    # left.
+    if cpus == 2 and not hasattr(os, "fork"):
+        pytest.skip("the helper needs fork")
+    parent, write_rows = os.getpid(), _csvblock._write_rows
+
+    def failing(fh, sections):
+        if (os.getpid() == parent) == (side == "parent"):
+            raise OSError(28, "No space left on device")
+        if side == "parent":
+            time.sleep(60)
+        write_rows(fh, sections)
+
+    monkeypatch.setattr(_csvblock, "_write_rows", failing)
+    out = tmp_path / "out"
+    start = time.monotonic()
+    code, forks, printed = _simulate_in_layout(
+        tmp_path, monkeypatch, capfd, cpus,
+        ["--m", 40, "--t", 5, "--seed", 1, "--out", out])
+    assert time.monotonic() - start < 30
+    assert code == 5
+    assert ("helper process" if side == "helper" else
+            "No space left on device") in printed.err
+    assert forks == (cpus == 2)
+    _assert_no_helper_left(out, [])
 
 
 # -------------------------------------------------------------------- train
@@ -760,22 +893,13 @@ def test_evaluate_helper_failure_in_its_half_fills_it_here(
 @pytest.mark.parametrize("seed, bad_path", [(106, 21), (99, 11)])
 def test_evaluate_nonfinite_deflator_in_one_half_exits_4(
         trained_run, tmp_path, monkeypatch, capfd, cpus, seed, bad_path):
-    # Inflation of 88.5 a year with shocks of 3 passes float range in Q
-    # within the 8-year horizon on one path alone: path 21 of seed 106, in
-    # the half [20, 40) that a helper simulates, or path 11 of seed 99, in
-    # this process's half. The trained run's snapshots differ from its
-    # final policy, so with two CPUs the helper is forked.
-    from superdraw.cli import _read_ini, build_train_config
-    from superdraw.errors import NumericError
-    cfgp = write_config(tmp_path / "cfg.ini", TINY_TRAIN +
-                        "[esg]\nmu_q = 88.5\nsigma_q = 3\n")
-    cfg = build_train_config(_read_ini(cfgp))
-    for m in range(40):
-        if m == bad_path:
-            with pytest.raises(NumericError):
-                cfg.panel(1, seed, first=m)
-        else:
-            cfg.panel(1, seed, first=m)
+    # NONFINITE_Q puts one non-finite Q in the helper's half or in this
+    # process's. The trained run's snapshots differ from its final policy,
+    # so with two CPUs the helper is forked; its NumericError is raised
+    # here as this process's own.
+    cfgp = write_config(tmp_path / "cfg.ini", TINY_TRAIN + NONFINITE_Q)
+    _one_bad_path(cfgp, seed, bad_path)
+    here = _simulated_here(monkeypatch)
     monkeypatch.setattr(_csvblock, "_usable_cpus", lambda: cpus)
     forks = _count_forks(monkeypatch)
     out = tmp_path / "eval"
@@ -783,9 +907,12 @@ def test_evaluate_nonfinite_deflator_in_one_half_exits_4(
     assert run(["evaluate", "--config", cfgp, "--checkpoint",
                 trained_run[1] / "checkpoints", "--m-test", 40,
                 "--seed", seed, "--out", out]) == 4
-    assert "numeric error: non-finite Q in simulated panel" in \
-        capfd.readouterr().err
+    err = capfd.readouterr().err
+    assert "numeric error: non-finite Q in simulated panel" in err
+    assert "helper process" not in err
     assert len(forks) == (cpus == 2 and hasattr(os, "fork"))
+    if forks:
+        assert all(first + n <= 20 for first, n in here)
     _assert_no_helper_left(out, None)
 
 

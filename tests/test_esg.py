@@ -534,15 +534,6 @@ def _panel_csv_oracle(panel, path):
                                      for c in _PANEL_COLS])
 
 
-def _count_forks(monkeypatch) -> list:
-    """Record each `os.fork` call in the returned list."""
-    forks = []
-    if hasattr(os, "fork"):
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
 def _assert_no_helper_left(directory, names):
     """No child process is left running and `directory` holds `names`, or
     does not exist when `names` is None."""
@@ -559,7 +550,8 @@ def _assert_no_helper_left(directory, names):
 # 150 (75 = 64 + 11) and 250 (125 = 64 + 61) paths are not whole blocks,
 # nor at T = 2 (896 paths per block) those of 2,000 (1,000 = 896 + 104).
 # Blocks of at least KERNEL_MIN_ROWS rows take the number kernel, smaller
-# ones `%`. One CPU, and M < 2, take the one-process branch.
+# ones `%`. One CPU, and M < 2, take the one-process branch. The command's
+# forks and failures are checked in test_cli.py.
 @pytest.mark.parametrize("M, T, cpus", [
     pytest.param(M, T, cpus, id=f"{M}-{T}" + ("" if cpus == 2 else "-1cpu"))
     for cpus in (2, 1)
@@ -581,39 +573,18 @@ def test_panel_csv_matches_csv_writer_bytes(tmp_path, monkeypatch, M, T,
         cols[c] = vals
     cols["Q"] = np.abs(cols["Q"]) + 1e-05
     cols["Q"][:, 0] = 1.0
-    panel = esg.ScenarioPanel(M=M, T=T, R=cols.pop("R"), Q=cols.pop("Q"),
-                              factors=cols)
+
+    def copy_rows(n, factors, first, out):
+        # Stands in for `simulate`: the crafted rows of paths first..
+        for k, col in out.items():
+            col[:] = cols[k][first:first + n]
+
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     monkeypatch.setattr(_csvblock, "_usable_cpus", lambda: cpus)
-    forks = _count_forks(monkeypatch)
-    esg.panel_to_csv(panel, got)
-    assert len(forks) == (cpus == 2 and M >= 2 and hasattr(os, "fork"))
-    _panel_csv_oracle(panel, want)
+    with esg.panel_for_csv(copy_rows, M, T) as (panel, tail):
+        esg.panel_to_csv(panel, got, tail)
+    _panel_csv_oracle(esg.ScenarioPanel(M=M, T=T, R=cols.pop("R"),
+                                        Q=cols.pop("Q"), factors=cols), want)
     assert got.read_bytes() == want.read_bytes()
     _assert_no_helper_left(tmp_path, ["got.csv", "want.csv"])
 
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper needs fork")
-@pytest.mark.parametrize("side", ["helper", "parent"])
-def test_panel_csv_failure_on_either_side_leaves_nothing(tmp_path,
-                                                         monkeypatch, side):
-    # A write that fails in the helper reaches the caller as OSError; one
-    # that fails in this process kills the helper. Either way the helper is
-    # reaped and neither the temporary file nor a partial panel remains.
-    monkeypatch.setattr(_csvblock, "_usable_cpus", lambda: 2)
-    parent, write_rows = os.getpid(), _csvblock._write_rows
-
-    def failing(fh, sections):
-        if (os.getpid() == parent) == (side == "parent"):
-            raise OSError(28, "No space left on device")
-        write_rows(fh, sections)
-
-    monkeypatch.setattr(_csvblock, "_write_rows", failing)
-    forks = _count_forks(monkeypatch)
-    panel = esg.simulate(DEFAULT_PARAMS, stationary_state(DEFAULT_PARAMS),
-                         M=40, T=5, seed=1)
-    with pytest.raises(OSError, match="helper process" if side == "helper"
-                       else "No space left"):
-        esg.panel_to_csv(panel, tmp_path / "panel.csv")
-    assert len(forks) == 1
-    _assert_no_helper_left(tmp_path, [])

@@ -87,6 +87,31 @@ def test_only_csvblock_imports_csv():
     assert importers == ["_csvblock"]
 
 
+def _calls(name: str) -> list:
+    """`file:line` of every call in the package whose callee is `name` or
+    ends in `.name`, such as `os.fork` or `_csvblock._helper`."""
+    root = Path(superdraw.__file__).resolve().parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called = f.attr if isinstance(f, ast.Attribute) else \
+                    getattr(f, "id", None)
+                if called == name:
+                    found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_one_fork_path():
+    # Every helper process is forked by `_csvblock._helper`, and that from
+    # one place (`esg.panel_halves`), so that each helper is killed and
+    # reaped by the same code. A second fork path would be a second copy
+    # of that.
+    assert [c.split(":")[0] for c in _calls("fork")] == ["_csvblock.py"]
+    assert [c.split(":")[0] for c in _calls("_helper")] == ["esg.py"]
+
+
 def _superdraw_imports(path: Path) -> list:
     """Every `superdraw` module or name an import statement of `path`
     names, at any depth, function bodies included."""

@@ -44,7 +44,9 @@ def test_consumption_utility_unit():
 
 
 def test_consumption_utility_fifty_thousand():
-    assert consumption_utility(50_000.0, P5) == pytest.approx(-4.0e-20)
+    # A bare approx would accept anything within 1e-12 of a value of 1e-20.
+    assert consumption_utility(50_000.0, P5) == \
+        pytest.approx(-4.0e-20, rel=1e-12, abs=0)
 
 
 def test_consumption_utility_rho_two():
@@ -63,7 +65,8 @@ def test_bequest_neutral_coefficient_at_half():
 
 
 def test_bequest_hundred_thousand():
-    assert bequest_utility(100_000.0, P5) == pytest.approx(-2.5e-21)
+    assert bequest_utility(100_000.0, P5) == \
+        pytest.approx(-2.5e-21, rel=1e-12, abs=0)
 
 
 def test_floor_keeps_depletion_finite():
